@@ -5,13 +5,13 @@
 #
 #   build-dir    sanitized build tree (default: build-asan)
 #   sanitizers   comma list for PIMSIM_SANITIZE
-#                (default: address,undefined; use "thread" for TSan)
+#                (default: address,undefined)
 #   ctest-regex  optional -R filter (default: whole suite)
 #
 # Examples:
 #   scripts/run_sanitized_tests.sh                       # ASan+UBSan, all
-#   scripts/run_sanitized_tests.sh build-tsan thread \
-#       'parallel_test|system_test'                      # TSan stress
+#   scripts/run_sanitized_tests.sh build-ubsan undefined \
+#       'fp16_test|pim_unit_test'                        # UBSan subset
 #
 # Each sanitized build lives in its own directory so it never disturbs
 # the regular build tree.
@@ -29,7 +29,6 @@ cmake --build "${build_dir}" -j "$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest_args=(--test-dir "${build_dir}" --output-on-failure -j "$(nproc)")
 if [[ -n "${test_regex}" ]]; then

@@ -87,8 +87,9 @@ struct LlmEngineConfig
     std::size_t histBuckets = 8192;
     /** Optional cross-engine service-time memo (benchmark sweeps). */
     std::shared_ptr<serve::ServiceTimeCache> timingCache;
-    /** Worker threads for the measurement system (bit-identical; see
-     *  PimSystem::setThreads). */
+    /** Ignored: the simulator always runs on the calling thread. Kept
+     *  only because the repository benchmark (perfbench/) still sets
+     *  it; nothing else may. */
     unsigned simThreads = 1;
 };
 

@@ -24,6 +24,22 @@
 
 namespace pimsim {
 
+/**
+ * The SIMD FPU's row operations in number format `fmt`: widen the whole
+ * row to float once, compute in float, round back once. Each lane is
+ * bit-identical to fp16Add/fp16Mul/fp16Mac (bf16* in BF16 mode) — the
+ * float add/mul of two 16-bit-significand values is exact, and the MAC
+ * keeps the non-fused double rounding by rounding the product row to
+ * format precision before the accumulate.
+ */
+LaneVector rowAdd(PimNumberFormat fmt, const LaneVector &a,
+                  const LaneVector &b);
+LaneVector rowMul(PimNumberFormat fmt, const LaneVector &a,
+                  const LaneVector &b);
+/** round(round(a * b) + acc) per lane. */
+LaneVector rowMac(PimNumberFormat fmt, const LaneVector &a,
+                  const LaneVector &b, const LaneVector &acc);
+
 /** Execution state and datapath of one PIM unit. */
 class PimUnit
 {

@@ -110,9 +110,9 @@ struct ServeConfig
     /** Seed of the retry-backoff jitter stream. */
     std::uint64_t retrySeed = 0x7e57;
     /**
-     * Worker threads for the per-shard measurement systems (see
-     * PimSystem::setThreads). Bit-identical for any value; only the
-     * wall-clock cost of filling the service-time cache changes.
+     * Ignored: the simulator always runs on the calling thread. Kept
+     * only because the repository benchmark (perfbench/) still sets
+     * it; nothing else may.
      */
     unsigned simThreads = 1;
 };

@@ -12,12 +12,12 @@
  * Section III pseudo-channel model): below PimSystem no channel ever
  * reads another channel's state, and cross-channel interaction happens
  * only through the caller's enqueue/drain between pump calls. step(),
- * advance() and runUntilIdle() therefore execute as *epochs*: every
- * channel runs all of its own events in [now_, target] independently
- * (optionally on a worker pool, see setThreads), then a barrier merges
- * the per-channel error-log and trace staging buffers in deterministic
- * (time, channel) order. Output — stats JSON, trace files, the error
- * log — is bit-identical to a single-threaded run (DESIGN.md §14).
+ * advance() and runUntilIdle() therefore execute as serial *epochs*:
+ * each channel in turn runs all of its own events in [now_, target],
+ * which is the cheapest serial order, and a merge at the end of the
+ * epoch replays the channels' ECC events into the global error log in
+ * (cycle, channel) order. The result is exactly what a global
+ * target-by-target sweep would produce (DESIGN.md §14).
  */
 
 #ifndef PIMSIM_SIM_SYSTEM_H
@@ -34,7 +34,6 @@
 #include "mem/controller.h"
 #include "reliability/mem_error.h"
 #include "sim/system_config.h"
-#include "sim/worker_pool.h"
 
 namespace pimsim {
 
@@ -112,7 +111,7 @@ class PimSystem
      * decide whether a PIM kernel's data can be trusted. The accessor
      * first drains any per-channel staging events (e.g. from a driver
      * DataStore access between pump calls), so the log is always current
-     * when read from the caller's thread.
+     * when read.
      */
     MemErrorLog &errorLog();
     const MemErrorLog &errorLog() const;
@@ -148,22 +147,18 @@ class PimSystem
     /**
      * Attach (or detach, with nullptr) a Chrome-trace session: every
      * pseudo channel records its command spans on a per-channel device
-     * track. Channel events are staged per channel and merged into
-     * `session` at every epoch barrier, so the session only ever sees
-     * single-threaded access and the final file is bit-identical no
-     * matter how many simulation threads run.
+     * track. Channels record in channel-major order within an epoch;
+     * TraceSession::write()'s stable timestamp sort restores the
+     * target-by-target order for equal-timestamp events.
      */
     void setTraceSession(TraceSession *session);
 
     /**
-     * Tick channels on `threads` OS threads (including the caller);
-     * 1 (the default) is fully serial with no pool. Results are
-     * bit-identical for every thread count. Note the PseudoChannel
-     * text-trace ostream is a serial-only debugging aid: attach it only
-     * with threads == 1.
+     * Ignored: the simulator always runs on the calling thread. Kept
+     * only because the repository benchmark (perfbench/) still calls
+     * it; nothing else may.
      */
-    void setThreads(unsigned threads);
-    unsigned threads() const { return threads_; }
+    void setThreads(unsigned) {}
 
   private:
     /**
@@ -172,14 +167,13 @@ class PimSystem
      * channel actually did work (now_ if it did none).
      */
     Cycle runChannelEpoch(unsigned ch, Cycle target, bool allow_scrub);
-    /** Dispatch runChannelEpoch over all channels, then merge sinks. */
-    void runEpoch(Cycle target, bool allow_scrub);
-    /** True if the channel has an event or scrub step at or before
-     *  `target` (seen from now_). */
-    bool channelDue(unsigned ch, Cycle target, bool allow_scrub) const;
-    /** Drain per-channel staging buffers into the global error log and
-     *  trace session in deterministic (time, channel) order. */
-    void mergeEpochSinks();
+    /** Run every channel's epoch in index order, then merge the
+     *  per-channel ECC logs. Returns the last cycle at which any
+     *  channel did work (now_ if none did). */
+    Cycle runEpoch(Cycle target, bool allow_scrub);
+    /** Drain the per-channel ECC staging logs into the global error
+     *  log in deterministic (cycle, channel) order. */
+    void mergeErrorLogs();
     /** Event-loop invariant: a non-idle channel must have a live
      *  next-tick hint (enqueues must go through tryEnqueue). */
     void assertTickInvariant() const;
@@ -193,13 +187,8 @@ class PimSystem
     std::vector<Cycle> nextTick_;
     Cycle now_ = 0;
 
-    // Parallel execution state (DESIGN.md §14).
-    unsigned threads_ = 1;
-    std::unique_ptr<SimThreadPool> pool_;
-    std::vector<Cycle> epochLast_;
+    // Per-channel ECC logs, merged at the end of every epoch.
     std::vector<std::unique_ptr<MemErrorLog>> errorStaging_;
-    TraceSession *traceSession_ = nullptr;
-    std::vector<std::unique_ptr<TraceSession>> traceStaging_;
 };
 
 } // namespace pimsim

@@ -6,11 +6,15 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <gtest/gtest.h>
 
+#include "common/bf16.h"
 #include "common/rng.h"
 #include "dram/pseudo_channel.h"
 #include "pim/pim_channel.h"
+#include "pim/pim_unit.h"
 
 namespace pimsim {
 namespace {
@@ -481,6 +485,172 @@ TEST_F(PimFixture, TriggersAfterExitAreCountedNotExecuted)
     issue(Command::rd(0, 0, 0));
     EXPECT_GE(pim.stats().counter("pim.triggerAfterExit"), 1u);
     EXPECT_EQ(pim.unit(0).executedCount(), 0u);
+}
+
+// ---------- SIMD row operations vs the per-lane oracle ----------
+
+/**
+ * FP16 patterns the conversion suite pins: signed zeros, subnormals and
+ * the normal boundary, values whose sums and products land in the
+ * 65504..65520 overflow band, max finite, +-inf and NaNs.
+ */
+const std::vector<Fp16Bits> kFp16Edges = {
+    0x0000, 0x8000, 0x0001, 0x8001, 0x0002, 0x03ff, 0x83ff, 0x0400,
+    0x3c00, 0xbc00, 0x3c03, 0x4800, 0x4a00, 0x4c00, 0x5bff, 0x5c00,
+    0x7bfe, 0x7bff, 0xfbff, 0x7c00, 0xfc00, 0x7e00, 0xfe00, 0x7c01,
+};
+
+/** The same classes for BF16 (max finite is 0x7f7f). */
+const std::vector<Fp16Bits> kBf16Edges = {
+    0x0000, 0x8000, 0x0001, 0x8001, 0x007f, 0x0080, 0x3f80, 0xbf80,
+    0x3f81, 0x7f00, 0x7f7e, 0x7f7f, 0xff7f, 0x7f80, 0xff80, 0x7fc0,
+    0xffc0, 0x7f81,
+};
+
+Fp16
+laneOracle(PimNumberFormat fmt, char op, Fp16 a, Fp16 b, Fp16 c)
+{
+    if (fmt == PimNumberFormat::Fp16) {
+        switch (op) {
+          case '+':
+            return fp16Add(a, b);
+          case '*':
+            return fp16Mul(a, b);
+          default:
+            return fp16Mac(a, b, c);
+        }
+    }
+    const Bf16 x = Bf16::fromBits(a.bits()), y = Bf16::fromBits(b.bits());
+    Bf16 r;
+    switch (op) {
+      case '+':
+        r = bf16Add(x, y);
+        break;
+      case '*':
+        r = bf16Mul(x, y);
+        break;
+      default:
+        r = bf16Mac(x, y, Bf16::fromBits(c.bits()));
+        break;
+    }
+    return Fp16::fromBits(r.bits());
+}
+
+bool
+isNan(PimNumberFormat fmt, Fp16 v)
+{
+    return fmt == PimNumberFormat::Fp16 ? v.isNan()
+                                        : Bf16::fromBits(v.bits()).isNan();
+}
+
+/**
+ * One lane of a row op must equal the per-lane oracle bit for bit. The
+ * exception is a NaN result: IEEE 754 leaves open which payload an
+ * operation on two NaNs (or an invalid operation) returns, and the row
+ * loops and the scalar helpers compile to different operand orders, so
+ * there only NaN-ness is pinned.
+ */
+void
+expectLane(PimNumberFormat fmt, Fp16 got, Fp16 want, const char *what)
+{
+    if (isNan(fmt, want))
+        EXPECT_TRUE(isNan(fmt, got)) << what << std::hex << got.bits();
+    else
+        EXPECT_EQ(got.bits(), want.bits()) << what;
+}
+
+/** Compare every lane of one row op against the per-lane oracle. */
+void
+expectRowMatchesLanes(PimNumberFormat fmt, const LaneVector &a,
+                      const LaneVector &b, const LaneVector &c)
+{
+    const LaneVector add = rowAdd(fmt, a, b);
+    const LaneVector mul = rowMul(fmt, a, b);
+    const LaneVector mac = rowMac(fmt, a, b, c);
+    for (std::size_t i = 0; i < kSimdLanes; ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << std::hex << "a=" << a[i].bits() << " b="
+                     << b[i].bits() << " c=" << c[i].bits());
+        expectLane(fmt, add[i], laneOracle(fmt, '+', a[i], b[i], c[i]),
+                   "add ");
+        expectLane(fmt, mul[i], laneOracle(fmt, '*', a[i], b[i], c[i]),
+                   "mul ");
+        expectLane(fmt, mac[i], laneOracle(fmt, 'm', a[i], b[i], c[i]),
+                   "mac ");
+    }
+}
+
+void
+checkRowOpsAgainstOracle(PimNumberFormat fmt,
+                         const std::vector<Fp16Bits> &edges)
+{
+    // Every (a, b, c) triple of edge patterns, 16 triples per row.
+    std::vector<std::array<Fp16Bits, 3>> triples;
+    for (Fp16Bits a : edges)
+        for (Fp16Bits b : edges)
+            for (Fp16Bits c : edges)
+                triples.push_back({a, b, c});
+    for (std::size_t t = 0; t < triples.size(); t += kSimdLanes) {
+        LaneVector a{}, b{}, c{};
+        for (std::size_t i = 0; i < kSimdLanes; ++i) {
+            const auto &abc = triples[(t + i) % triples.size()];
+            a[i] = Fp16::fromBits(abc[0]);
+            b[i] = Fp16::fromBits(abc[1]);
+            c[i] = Fp16::fromBits(abc[2]);
+        }
+        expectRowMatchesLanes(fmt, a, b, c);
+    }
+
+    // Random rows: any 16-bit pattern, or an edge pattern in a random
+    // lane mix.
+    Rng rng(fmt == PimNumberFormat::Fp16 ? 0x10e5 : 0xbf16);
+    auto draw = [&] {
+        return Fp16::fromBits(
+            rng.nextBelow(4) == 0
+                ? edges[rng.nextBelow(edges.size())]
+                : static_cast<Fp16Bits>(rng.next() & 0xffffu));
+    };
+    for (int row = 0; row < 4000; ++row) {
+        LaneVector a, b, c;
+        for (std::size_t i = 0; i < kSimdLanes; ++i) {
+            a[i] = draw();
+            b[i] = draw();
+            c[i] = draw();
+        }
+        expectRowMatchesLanes(fmt, a, b, c);
+    }
+}
+
+TEST(PimRowOps, Fp16RowsMatchPerLaneArithmetic)
+{
+    checkRowOpsAgainstOracle(PimNumberFormat::Fp16, kFp16Edges);
+}
+
+TEST(PimRowOps, Bf16RowsMatchPerLaneArithmetic)
+{
+    checkRowOpsAgainstOracle(PimNumberFormat::Bf16, kBf16Edges);
+}
+
+TEST(PimRowOps, MacRoundsTheProductBeforeAccumulating)
+{
+    // a = b = 1 + 3*2^-10, c = -1. The exact a*b = 1 + 6*2^-10 + 9*2^-20
+    // rounds to 1 + 6*2^-10, so the non-fused MAC gives exactly 6*2^-10.
+    // A fused datapath would keep the 9*2^-20 tail and round
+    // 6*2^-10 + 9*2^-20 to 6*2^-10 + 8*2^-20 instead.
+    const Fp16 a = Fp16::fromBits(0x3c03);
+    const Fp16 c = Fp16(-1.0f);
+    const float non_fused = std::ldexp(6.0f, -10);
+    const float fused = non_fused + std::ldexp(8.0f, -20);
+    ASSERT_NE(Fp16(non_fused).bits(), Fp16(fused).bits());
+    ASSERT_EQ(floatToFp16Bits(a.toFloat() * a.toFloat() + c.toFloat()),
+              Fp16(fused).bits());
+
+    const LaneVector mac = rowMac(PimNumberFormat::Fp16, broadcast(a),
+                                  broadcast(a), broadcast(c));
+    for (std::size_t i = 0; i < kSimdLanes; ++i) {
+        EXPECT_EQ(mac[i].bits(), Fp16(non_fused).bits()) << "lane " << i;
+        EXPECT_EQ(mac[i].bits(), fp16Mac(a, a, c).bits()) << "lane " << i;
+    }
 }
 
 } // namespace
