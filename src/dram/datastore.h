@@ -6,7 +6,8 @@
  * every PIM instruction computes on real FP16 values, so end-to-end tests
  * can compare simulated memory against golden references bit-for-bit.
  * Rows are allocated lazily (zero-filled) so multi-gigabyte address
- * spaces cost only what a workload touches.
+ * spaces cost only what a workload touches. A timing-only system
+ * (PimSystem::setTimingOnly) leaves its stores empty.
  */
 
 #ifndef PIMSIM_DRAM_DATASTORE_H

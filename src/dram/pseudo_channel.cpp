@@ -262,10 +262,12 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
                 busBusyUntil_ = now + timing_.tCL + timing_.tBL;
                 lastRdDataEnd_ = busBusyUntil_;
                 stats_.add("busCycles", timing_.tBL);
-                const unsigned src =
-                    cmd.flatBank(geom_.banksPerBankGroup);
-                result.data = data_.read(src, banks_[src].openRow, cmd.col,
-                                         &result.ecc);
+                if (!timingOnly_) {
+                    const unsigned src =
+                        cmd.flatBank(geom_.banksPerBankGroup);
+                    result.data = data_.read(src, banks_[src].openRow,
+                                             cmd.col, &result.ecc);
+                }
                 stats_.add("rd");
                 stats_.add("rdBanks", targets.size());
             }
@@ -277,8 +279,10 @@ PseudoChannel::issue(const Command &cmd, Cycle now)
             } else {
                 busBusyUntil_ = now + timing_.tCWL + timing_.tBL;
                 stats_.add("busCycles", timing_.tBL);
-                for (unsigned b : targets)
-                    data_.write(b, banks_[b].openRow, cmd.col, cmd.data);
+                if (!timingOnly_) {
+                    for (unsigned b : targets)
+                        data_.write(b, banks_[b].openRow, cmd.col, cmd.data);
+                }
                 result.dataCycle = now + timing_.tCWL + timing_.tBL;
                 stats_.add("wr");
                 stats_.add("wrBanks", targets.size());

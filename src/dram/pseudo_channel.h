@@ -132,6 +132,15 @@ class PseudoChannel
 
     const Bank &bank(unsigned flat_index) const { return banks_[flat_index]; }
 
+    /**
+     * Timing-only operation (PimSystem::setTimingOnly): host RD/WR keep
+     * their full timing and counters but move no bytes, so the DataStore
+     * stays empty and no ECC code word is encoded or decoded; a host RD
+     * returns an all-zero burst. The PIM units read this flag too.
+     */
+    void setTimingOnly(bool on) { timingOnly_ = on; }
+    bool timingOnly() const { return timingOnly_; }
+
     /** Direct functional access for fast-path loading and verification. */
     DataStore &dataStore() { return data_; }
     const DataStore &dataStore() const { return data_; }
@@ -178,6 +187,7 @@ class PseudoChannel
 
     bool allBank_ = false;
     bool pimModeActive_ = false;
+    bool timingOnly_ = false;
     ColumnInterceptor *interceptor_ = nullptr;
     std::ostream *trace_ = nullptr;
     TraceSession *traceSession_ = nullptr;

@@ -108,6 +108,11 @@ HostModel::simulateStreamNs(std::uint64_t bytes, double write_fraction)
 HostKernelResult
 HostModel::gemv(unsigned m, unsigned n, unsigned batch)
 {
+    const auto key = std::make_tuple(m, n, batch);
+    const auto it = gemvCache_.find(key);
+    if (it != gemvCache_.end())
+        return it->second;
+
     HostKernelResult result;
     const HostConfig &host = config();
     const double w_bytes = 2.0 * m * n;
@@ -160,12 +165,18 @@ HostModel::gemv(unsigned m, unsigned n, unsigned batch)
         }
     }
     result.llcMissRate = llc.missRate();
+    gemvCache_[key] = result;
     return result;
 }
 
 HostKernelResult
 HostModel::elementwise(std::uint64_t read_bytes, std::uint64_t write_bytes)
 {
+    const auto key = std::make_pair(read_bytes, write_bytes);
+    const auto it = elementwiseCache_.find(key);
+    if (it != elementwiseCache_.end())
+        return it->second;
+
     HostKernelResult result;
     const std::uint64_t total = read_bytes + write_bytes;
     const double wf =
@@ -175,6 +186,7 @@ HostModel::elementwise(std::uint64_t read_bytes, std::uint64_t write_bytes)
     // negligible. Everything streams: the LLC misses ~100%.
     result.ns = result.dramNs + launchNs();
     result.llcMissRate = 1.0;
+    elementwiseCache_[key] = result;
     return result;
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <tuple>
 
 #include "mem/llc.h"
 #include "sim/system.h"
@@ -47,13 +48,13 @@ class HostModel
 
     /**
      * Stock (unoptimised) GEMV/GEMM of one M x N weight matrix with
-     * `batch` input columns, FP16.
+     * `batch` input columns, FP16. Results are memoised per shape.
      */
     HostKernelResult gemv(unsigned m, unsigned n, unsigned batch);
 
     /**
      * Streaming element-wise kernel touching `read_bytes` of input and
-     * `write_bytes` of output once.
+     * `write_bytes` of output once. Results are memoised per size.
      */
     HostKernelResult elementwise(std::uint64_t read_bytes,
                                  std::uint64_t write_bytes);
@@ -75,6 +76,13 @@ class HostModel
 
     PimSystem &system_;
     std::map<std::pair<std::uint64_t, int>, double> streamCache_;
+    // Whole-kernel memos: a kernel result is a pure function of its
+    // shape (the stream times it reads are memoised too), and the app
+    // models repeat shapes heavily (e.g. GNMT's 16 identical LSTMs).
+    std::map<std::tuple<unsigned, unsigned, unsigned>, HostKernelResult>
+        gemvCache_;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, HostKernelResult>
+        elementwiseCache_;
 };
 
 } // namespace pimsim

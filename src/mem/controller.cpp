@@ -1,10 +1,40 @@
 #include "mem/controller.h"
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "common/logging.h"
 
 namespace pimsim {
+
+namespace {
+
+/** "<prefix><CMD>" stat names per command type, built once: the
+ *  controller counts one per issued command. */
+struct CommandStatNames
+{
+    explicit CommandStatNames(const char *prefix)
+    {
+        for (unsigned t = 0; t < names.size(); ++t)
+            names[t] = std::string(prefix) +
+                       commandTypeName(static_cast<CommandType>(t));
+    }
+
+    const std::string &operator[](CommandType type) const
+    {
+        return names[static_cast<unsigned>(type)];
+    }
+
+    std::array<std::string, static_cast<unsigned>(CommandType::Ref) + 1>
+        names;
+};
+
+const CommandStatNames kCmdStat("cmd.");
+const CommandStatNames kPrepStat("prep.");
+const std::string kCmdRdPimStat = "cmd.RD-PIM";
+
+} // namespace
 
 MemoryController::MemoryController(const HbmGeometry &geom,
                                    const HbmTiming &timing,
@@ -44,6 +74,15 @@ MemoryController::setErrorSink(MemErrorLog *log, unsigned channel)
             event.cycle = lastNow_;
             errorLog_->record(event);
         });
+}
+
+void
+MemoryController::setScrubEnabled(bool enabled)
+{
+    PIMSIM_ASSERT(!enabled || !channel_->timingOnly(),
+                  "the patrol scrubber needs stored data; a timing-only "
+                  "channel keeps none");
+    config_.scrubEnabled = enabled;
 }
 
 Cycle
@@ -262,7 +301,7 @@ MemoryController::rowPrepTick(Cycle now, std::size_t chosen)
         const Cycle t = channel_->earliestIssue(prep, now);
         if (t == now) {
             channel_->issue(prep, now);
-            stats_.add(std::string("prep.") + commandTypeName(prep.type));
+            stats_.add(kPrepStat[prep.type]);
             return now;
         }
         best_wait = std::min(best_wait, t);
@@ -382,7 +421,7 @@ MemoryController::tick(Cycle now)
     }
 
     const IssueResult result = channel_->issue(cmd, now);
-    stats_.add(std::string("cmd.") + commandTypeName(cmd.type));
+    stats_.add(kCmdStat[cmd.type]);
 
     const bool is_column =
         cmd.type == CommandType::Rd || cmd.type == CommandType::Wr;
@@ -410,7 +449,7 @@ MemoryController::tick(Cycle now)
             // Command-mix bucket for AB-PIM triggers (a RD/WR column
             // the PIM logic consumed): cmd.RD/cmd.WR count the bus
             // command, cmd.RD-PIM separates the PIM-executing subset.
-            stats_.add("cmd.RD-PIM");
+            stats_.add(kCmdRdPimStat);
         }
     }
 

@@ -137,8 +137,10 @@ class MemoryController
         return config_.scrubEnabled ? nextScrub_ : kNoCycle;
     }
 
-    /** Enable/disable scrubbing at runtime (benchmark sweeps). */
-    void setScrubEnabled(bool enabled) { config_.scrubEnabled = enabled; }
+    /** Enable/disable scrubbing at runtime (benchmark sweeps). The
+     *  scrubber reads stored code words, so a timing-only channel
+     *  refuses it. */
+    void setScrubEnabled(bool enabled);
 
   private:
     struct Queued

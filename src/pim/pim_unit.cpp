@@ -1,5 +1,8 @@
 #include "pim/pim_unit.h"
 
+#include <array>
+#include <string>
+
 #include "common/bf16.h"
 #include "common/logging.h"
 
@@ -36,6 +39,26 @@ lanesNarrow(PimNumberFormat fmt, const float *in)
     for (std::size_t i = 0; i < kSimdLanes; ++i)
         r[i] = Fp16::fromBits(bits[i]);
     return r;
+}
+
+// Stat names, built once: trigger() runs per unit per AB-PIM command.
+const std::string kStatOpExec = "pim.opExec";
+const std::string kStatBankRead = "pim.bankRead";
+const std::string kStatBankWrite = "pim.bankWrite";
+const std::string kStatBusOperand = "pim.busOperand";
+
+/** "pim.op.<NAME>" per opcode, indexed by the 4-bit opcode field. */
+const std::string &
+opStatName(PimOpcode op)
+{
+    static const auto names = [] {
+        std::array<std::string, 16> n;
+        for (unsigned i = 0; i < n.size(); ++i)
+            n[i] = std::string("pim.op.") +
+                   pimOpcodeName(static_cast<PimOpcode>(i));
+        return n;
+    }();
+    return names[static_cast<unsigned>(op) & 0xfu];
 }
 
 } // namespace
@@ -189,6 +212,29 @@ PimUnit::effectiveIndex(const PimInst &inst, unsigned encoded,
     return col % config_.grfPerHalf;
 }
 
+bool
+PimUnit::operandFromBus(CommandType type, bool is_src1) const
+{
+    // A WR trigger carries host data on the write bus; a bank-space
+    // source then reads the bus instead of the array. With the SRW
+    // variant (Fig. 14), SRC1 still reads the bank so one WR can
+    // deliver a vector operand and stream a matrix operand at once.
+    return type == CommandType::Wr &&
+           !(config_.dse.simultaneousRdWr && is_src1);
+}
+
+unsigned
+PimUnit::noteBankAccess(OperandSpace space, const std::string &stat) const
+{
+    const unsigned bank =
+        space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
+    PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
+                  "PIM bank access to idle bank ", bank);
+    if (stats_)
+        stats_->add(stat);
+    return bank;
+}
+
 LaneVector
 PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
                       unsigned col, const Burst *bus_data, bool is_src1)
@@ -214,25 +260,13 @@ PimUnit::fetchOperand(OperandSpace space, unsigned index, CommandType type,
       }
       case OperandSpace::EvenBank:
       case OperandSpace::OddBank: {
-        // A WR trigger carries host data on the write bus; a bank-space
-        // source then reads the bus instead of the array. With the SRW
-        // variant (Fig. 14), SRC1 still reads the bank so one WR can
-        // deliver a vector operand and stream a matrix operand at once.
-        const bool from_bus =
-            type == CommandType::Wr &&
-            !(config_.dse.simultaneousRdWr && is_src1);
-        if (from_bus) {
+        if (operandFromBus(type, is_src1)) {
             PIMSIM_ASSERT(bus_data != nullptr, "WR trigger without data");
             if (stats_)
-                stats_->add("pim.busOperand");
+                stats_->add(kStatBusOperand);
             return burstToLanes(*bus_data);
         }
-        const unsigned bank =
-            space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
-        PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
-                      "bank operand fetch from idle bank ", bank);
-        if (stats_)
-            stats_->add("pim.bankRead");
+        const unsigned bank = noteBankAccess(space, kStatBankRead);
         // The bank read passes through the same on-die ECC engine as a
         // host RD (Section VIII); count what it observes. The DataStore
         // hook additionally records the event in the system error log.
@@ -262,12 +296,7 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
         return;
       case OperandSpace::EvenBank:
       case OperandSpace::OddBank: {
-        const unsigned bank =
-            space == OperandSpace::EvenBank ? evenBank_ : oddBank_;
-        PIMSIM_ASSERT(pch_.bank(bank).state == BankState::Active,
-                      "bank result write to idle bank ", bank);
-        if (stats_)
-            stats_->add("pim.bankWrite");
+        const unsigned bank = noteBankAccess(space, kStatBankWrite);
         pch_.dataStore().write(bank, pch_.bank(bank).openRow, col,
                                lanesToBurst(value));
         return;
@@ -277,6 +306,41 @@ PimUnit::writeResult(OperandSpace space, unsigned index, unsigned col,
         // SRF is loaded through the PIM_CONF register map, not by
         // microkernel results.
         PIMSIM_PANIC("SRF is not a legal result destination");
+    }
+}
+
+void
+PimUnit::noteAccesses(const PimInst &inst, CommandType type)
+{
+    // The same operand accesses the functional switch in trigger() makes,
+    // counted without moving data. Register-file poison cannot exist on
+    // a timing-only system (no fault injector may attach to one).
+    auto source = [&](OperandSpace space, bool is_src1) {
+        if (space != OperandSpace::EvenBank &&
+            space != OperandSpace::OddBank)
+            return;
+        if (operandFromBus(type, is_src1)) {
+            if (stats_)
+                stats_->add(kStatBusOperand);
+        } else {
+            noteBankAccess(space, kStatBankRead);
+        }
+    };
+    source(inst.src0, false);
+    if (!isDataOpcode(inst.opcode))
+        source(inst.src1, true);
+    if (inst.opcode == PimOpcode::Mac)
+        source(inst.dst, false); // DST == SRC2 accumulates
+    switch (inst.dst) {
+      case OperandSpace::EvenBank:
+      case OperandSpace::OddBank:
+        noteBankAccess(inst.dst, kStatBankWrite);
+        break;
+      case OperandSpace::SrfM:
+      case OperandSpace::SrfA:
+        PIMSIM_PANIC("SRF is not a legal result destination");
+      default:
+        break;
     }
 }
 
@@ -297,7 +361,7 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
     if (inst.opcode == PimOpcode::Nop) {
         // Multi-cycle NOP: consumes imm0 triggers before advancing.
         if (stats_)
-            stats_->add("pim.op.NOP");
+            stats_->add(opStatName(PimOpcode::Nop));
         if (++nopConsumed_ >= std::max(1u, inst.imm0)) {
             nopConsumed_ = 0;
             ++ppc_;
@@ -306,10 +370,17 @@ PimUnit::trigger(CommandType type, unsigned col, const Burst *bus_data)
     }
 
     if (stats_) {
-        stats_->add(std::string("pim.op.") + pimOpcodeName(inst.opcode));
-        stats_->add("pim.opExec");
+        stats_->add(opStatName(inst.opcode));
+        stats_->add(kStatOpExec);
     }
     ++executed_;
+
+    if (pch_.timingOnly()) {
+        noteAccesses(inst, type);
+        ++ppc_;
+        resolveControl();
+        return;
+    }
 
     const unsigned s0 = effectiveIndex(inst, inst.src0Idx, inst.src0, col);
     const unsigned s1 = effectiveIndex(inst, inst.src1Idx, inst.src1, col);

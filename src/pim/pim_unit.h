@@ -13,6 +13,7 @@
 #ifndef PIMSIM_PIM_PIM_UNIT_H
 #define PIMSIM_PIM_PIM_UNIT_H
 
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -83,7 +84,11 @@ class PimUnit
     std::uint64_t sdcExposed() const { return sdcExposed_; }
 
     /**
-     * Execute one trigger (a column command in AB-PIM mode).
+     * Execute one trigger (a column command in AB-PIM mode). On a
+     * timing-only channel (PseudoChannel::timingOnly) the sequencer
+     * still runs (decode, NOP/JUMP/EXIT, executedCount()) and every
+     * operand access is counted, but no operand is fetched, no lane
+     * computed and no result written.
      *
      * @param type     Rd or Wr
      * @param col      column address of the command (feeds AAM indices and
@@ -108,6 +113,16 @@ class PimUnit
     LaneVector fetchOperand(OperandSpace space, unsigned index,
                             CommandType type, unsigned col,
                             const Burst *bus_data, bool is_src1);
+
+    /** True iff a bank-space operand comes off the WR data bus. */
+    bool operandFromBus(CommandType type, bool is_src1) const;
+
+    /** Count (and check) a bank-space operand access; returns the bank. */
+    unsigned noteBankAccess(OperandSpace space,
+                            const std::string &stat) const;
+
+    /** Timing-only execute stage: count the accesses of `inst`. */
+    void noteAccesses(const PimInst &inst, CommandType type);
 
     /** Write one 16-lane result. */
     void writeResult(OperandSpace space, unsigned index, unsigned col,

@@ -13,6 +13,17 @@ FaultInjector::FaultInjector(PimSystem &system, const FaultRates &rates,
                              std::uint64_t seed)
     : system_(system), rates_(rates), rng_(seed), stats_("faultInjector")
 {
+    requireFunctional();
+}
+
+void
+FaultInjector::requireFunctional() const
+{
+    // Faults corrupt stored data and register files; a timing-only
+    // system keeps no data, so an injected fault could never be seen.
+    PIMSIM_ASSERT(!system_.timingOnly(),
+                  "a FaultInjector needs a functional system, not a "
+                  "timing-only one");
 }
 
 unsigned
@@ -174,6 +185,7 @@ FaultInjector::injectPimCrf()
 bool
 FaultInjector::injectUncorrectableBurst()
 {
+    requireFunctional();
     const std::uint64_t before = counts_.dramBurst;
     injectDramBurst();
     return counts_.dramBurst != before;
@@ -182,6 +194,7 @@ FaultInjector::injectUncorrectableBurst()
 void
 FaultInjector::step()
 {
+    requireFunctional();
     stats_.add("steps");
     for (unsigned n = drawCount(rates_.dramTransient); n > 0; --n)
         injectDramTransient();

@@ -77,6 +77,7 @@ struct FaultCounts
 class FaultInjector
 {
   public:
+    /** Panics on a timing-only system (PimSystem::setTimingOnly). */
     FaultInjector(PimSystem &system, const FaultRates &rates,
                   std::uint64_t seed);
 
@@ -111,6 +112,9 @@ class FaultInjector
     const StatGroup &stats() const { return stats_; }
 
   private:
+    /** Panic if the target system is timing-only. */
+    void requireFunctional() const;
+
     /** Number of faults to inject this step for a given rate. */
     unsigned drawCount(double rate);
 

@@ -10,6 +10,9 @@ ShardServiceModel::ShardServiceModel(const SystemConfig &base,
     : config_(base), channels_(channels), cache_(std::move(cache))
 {
     PIMSIM_ASSERT(channels_ >= 1, "shard needs at least one channel");
+    // The measurement system is timing-only; the patrol scrubber reads
+    // stored data and never changes a command's timing.
+    config_.controller.scrubEnabled = false;
     // Rebuild the stack/channel split for the shard's channel count; the
     // per-channel geometry, timing and host model stay the base's.
     if (channels_ >= config_.geometry.pchPerStack) {
@@ -32,6 +35,8 @@ ShardServiceModel::ensureRunner()
     if (runner_)
         return;
     system_ = std::make_unique<PimSystem>(config_);
+    // Only .ns is read, and PIM latency does not depend on the data.
+    system_->setTimingOnly(true);
     host_ = std::make_unique<HostModel>(*system_);
     blas_ = config_.withPim() ? std::make_unique<PimBlas>(*system_) : nullptr;
     runner_ = std::make_unique<AppRunner>(*host_, blas_.get());
@@ -60,6 +65,7 @@ HostFallbackModel::HostFallbackModel(const SystemConfig &base,
     // The host path never issues PIM commands; measuring on a plain-HBM
     // system keeps the lazily-built measurement stack minimal.
     config_.kind = MemoryKind::Hbm;
+    config_.controller.scrubEnabled = false; // see ShardServiceModel
 }
 
 void
@@ -68,6 +74,7 @@ HostFallbackModel::ensureRunner()
     if (runner_)
         return;
     system_ = std::make_unique<PimSystem>(config_);
+    system_->setTimingOnly(true); // only .ns is read
     host_ = std::make_unique<HostModel>(*system_);
     runner_ = std::make_unique<AppRunner>(*host_, nullptr);
 }

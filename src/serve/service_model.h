@@ -7,8 +7,11 @@
  * core property), so each distinct (app, batch) is executed once on a
  * shard-sized system through the real AppRunner/PimBlas command-level
  * path and memoised; the queueing simulation then replays the measured
- * number. A cross-engine cache lets benchmark sweeps share measurements
- * between policy/rate cells instead of re-simulating identical kernels.
+ * number. Only the time is read, so the measurement systems run
+ * timing-only (PimSystem::setTimingOnly): same commands and cycles, no
+ * operand data. A cross-engine cache lets benchmark sweeps share
+ * measurements between policy/rate cells instead of re-simulating
+ * identical kernels.
  */
 
 #ifndef PIMSIM_SERVE_SERVICE_MODEL_H

@@ -119,6 +119,20 @@ PimSystem::setTraceSession(TraceSession *session)
                                                     static_cast<int>(ch));
 }
 
+void
+PimSystem::setTimingOnly(bool on)
+{
+    PIMSIM_ASSERT(now_ == 0 && allIdle(),
+                  "timing-only mode must be chosen before any traffic");
+    timingOnly_ = on;
+    for (auto &c : controllers_) {
+        PIMSIM_ASSERT(!on || c->nextScrubDue() == kNoCycle,
+                      "the patrol scrubber needs stored data; a "
+                      "timing-only channel keeps none");
+        c->channel().setTimingOnly(on);
+    }
+}
+
 bool
 PimSystem::tryEnqueue(unsigned channel, const MemRequest &request)
 {

@@ -154,6 +154,23 @@ class PimSystem
     void setTraceSession(TraceSession *session);
 
     /**
+     * Timing-only mode, off by default. PIM latency does not depend on
+     * the data (the architecture's core property), so a consumer that
+     * reads only times can skip all data movement: the DataStore keeps
+     * no payload, no ECC code word is encoded or decoded, and PIM units
+     * run their sequencers without fetching operands or computing lanes.
+     * Every command, its timing and every counter stay identical to a
+     * functional run (DESIGN.md, "Timing-only measurement"). The stack
+     * above must then issue shape-only BLAS calls (AppRunner does).
+     *
+     * Set it on a fresh system, before any traffic. Consumers that need
+     * data refuse a timing-only system: FaultInjector, ABFT and the
+     * SdcMonitor on PimBlas, and the patrol scrubber.
+     */
+    void setTimingOnly(bool on);
+    bool timingOnly() const { return timingOnly_; }
+
+    /**
      * Ignored: the simulator always runs on the calling thread. Kept
      * only because the repository benchmark (perfbench/) still calls
      * it; nothing else may.
@@ -186,6 +203,7 @@ class PimSystem
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     std::vector<Cycle> nextTick_;
     Cycle now_ = 0;
+    bool timingOnly_ = false;
 
     // Per-channel ECC logs, merged at the end of every epoch.
     std::vector<std::unique_ptr<MemErrorLog>> errorStaging_;

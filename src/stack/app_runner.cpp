@@ -39,6 +39,8 @@ accumulatePimActivity(AppRunResult &acc, const BlasTiming &t, double times)
     acc.pimBankAccesses +=
         static_cast<std::uint64_t>(t.pimBankAccesses * times);
     acc.pimOps += static_cast<std::uint64_t>(t.pimOps * times);
+    acc.pimCommands += static_cast<std::uint64_t>(t.commands * times);
+    acc.pimFences += static_cast<std::uint64_t>(t.fences * times);
     // Reliability outcomes are per-call facts, not rates: count them once
     // per distinct kernel execution rather than scaling by repetitions
     // (memoised replays of a timing do not re-run the device).
@@ -63,9 +65,12 @@ AppRunner::pimGemv(unsigned m, unsigned n)
     if (it != gemvCache_.end())
         return it->second;
 
-    // Execute the real command-level kernel once with random data; the
-    // timing of subsequent identical shapes is identical (deterministic
-    // latency is the PIM architecture's core property).
+    // Execute the real command-level kernel once; the timing of
+    // subsequent identical shapes is identical (deterministic latency is
+    // the PIM architecture's core property). A timing-only system runs
+    // it shape-only; a functional one on random data.
+    if (blas_->system().timingOnly())
+        return gemvCache_[key] = blas_->gemvShape(m, n);
     Rng rng(0x9e3779b9u ^ (std::uint64_t{m} << 20) ^ n);
     Fp16Vector w(std::size_t{m} * n);
     for (auto &v : w)
@@ -88,6 +93,11 @@ AppRunner::pimElementwise(MicroKind kind, std::uint64_t elements)
     if (it != elemCache_.end())
         return it->second;
 
+    if (blas_->system().timingOnly()) {
+        return elemCache_[key] = kind == MicroKind::Add
+                                     ? blas_->addShape(elements)
+                                     : blas_->bnShape(elements);
+    }
     Rng rng(0xc0ffee ^ elements);
     Fp16Vector a(elements);
     for (auto &v : a)

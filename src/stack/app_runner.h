@@ -39,6 +39,8 @@ struct AppRunResult
     std::uint64_t pimTriggers = 0;  ///< AB-PIM column commands
     std::uint64_t pimBankAccesses = 0;
     std::uint64_t pimOps = 0;
+    std::uint64_t pimCommands = 0;  ///< DRAM requests of PIM kernels
+    std::uint64_t pimFences = 0;    ///< barriers of PIM kernels
 
     // Reliability outcomes aggregated over all PIM kernels in the run.
     std::uint64_t pimRetries = 0;       ///< kernel re-executions

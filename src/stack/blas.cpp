@@ -132,6 +132,55 @@ PimBlas::PimBlas(PimSystem &system) : system_(system), driver_(system)
 }
 
 void
+PimBlas::setAbft(bool on)
+{
+    PIMSIM_ASSERT(!on || !system_.timingOnly(),
+                  "ABFT verifies data; a timing-only system keeps none");
+    abft_ = on;
+}
+
+void
+PimBlas::setSdcMonitor(SdcMonitor *monitor)
+{
+    PIMSIM_ASSERT(!monitor || !system_.timingOnly(),
+                  "an SdcMonitor attributes verified data; a timing-only "
+                  "system keeps none");
+    sdcMonitor_ = monitor;
+}
+
+void
+PimBlas::requireMode(bool data) const
+{
+    if (data) {
+        PIMSIM_ASSERT(!system_.timingOnly(),
+                      "PIM BLAS data calls need a functional system; a "
+                      "timing-only system takes the shape-only calls");
+        return;
+    }
+    PIMSIM_ASSERT(system_.timingOnly(),
+                  "shape-only PIM BLAS calls need a timing-only system");
+    PIMSIM_ASSERT(!abft_ && !sdcMonitor_,
+                  "ABFT and the SdcMonitor verify data; a timing-only "
+                  "system keeps none");
+}
+
+void
+PimBlas::runKernel(const ChannelProgram &program, BlasTiming &timing)
+{
+    ActivityProbe probe(system_);
+    const PimRunResult run =
+        runPimProgramReplicated(system_, program, system_.numChannels());
+    const ChannelActivity activity = probe.delta();
+    timing.ns += run.ns;
+    timing.commands += run.commands;
+    timing.fences += run.fences;
+    timing.acts += activity.acts;
+    timing.pimTriggers += activity.pimTriggers;
+    timing.pimBankAccesses += activity.pimBankReads + activity.pimBankWrites;
+    timing.pimOps += activity.pimOps;
+}
+
+void
 PimBlas::appendPrologue(ProgramBuilder &builder,
                         const std::vector<PimInst> &microkernel,
                         const Burst *srf_m, const Burst *srf_a)
@@ -190,13 +239,18 @@ PimBlas::appendEpilogue(ProgramBuilder &builder)
 }
 
 BlasTiming
-PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
-                     const Fp16Vector *b, Fp16Vector &out)
+PimBlas::elementwise(PimOpcode op, bool relu_move, std::uint64_t elements,
+                     const Fp16Vector *a, const Fp16Vector *b,
+                     Fp16Vector *out)
 {
-    PIMSIM_ASSERT(b == nullptr || b->size() == a.size(),
-                  "operand length mismatch");
-    out.assign(a.size(), Fp16());
-    if (a.empty())
+    const bool data = a != nullptr;
+    requireMode(data);
+    if (data) {
+        PIMSIM_ASSERT(b == nullptr || b->size() == a->size(),
+                      "operand length mismatch");
+        out->assign(elements, Fp16());
+    }
+    if (elements == 0)
         return {};
 
     // BLAS calls are self-contained: operands are staged fresh each call,
@@ -215,7 +269,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
 
     // Chunk q (16 elements) -> (row, colgroup*8+col, unit, channel) with
     // channel fastest so short vectors still use every channel.
-    const std::uint64_t chunks = divCeil(a.size(), kSimdLanes);
+    const std::uint64_t chunks = divCeil(elements, kSimdLanes);
     const std::uint64_t chunks_per_group =
         std::uint64_t{channels} * units * cols_per_group;
     const std::uint64_t groups = divCeil(chunks, chunks_per_group);
@@ -228,7 +282,8 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
         PIMSIM_WARN("element-wise kernel cannot allocate ", rows,
                     " PIM rows (free ", driver_.freeRows(),
                     "); computing on the host");
-        elementwiseGolden(op, relu_move, a, b, out);
+        if (data)
+            elementwiseGolden(op, relu_move, *a, b, *out);
         timing.hostFallback = true;
         return timing;
     }
@@ -254,7 +309,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
     const unsigned total_groups =
         static_cast<unsigned>(groups_per_row * rows);
     std::vector<PimInst> kernel;
-    const bool two_ops = b != nullptr;
+    const bool two_ops = op == PimOpcode::Add || op == PimOpcode::Mul;
     if (two_ops && system_.config().pim.dse.twoBankAccess) {
         // 2BA variant: one trigger reads both banks (Fig. 14).
         kernel = {
@@ -353,6 +408,13 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
         builder.fence();
     appendEpilogue(builder);
 
+    if (!data) {
+        // Timing-only: nothing can fault or corrupt (no fault injector
+        // attaches to such a system), so one run is the whole call.
+        runKernel(prog, timing);
+        return timing;
+    }
+
     // Execute, retry on reported errors, fall back to the host when the
     // retry budget is spent (the Section VIII recovery policy).
     const std::uint64_t corr0 = system_.errorLog().corrected();
@@ -366,25 +428,14 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
         for (std::uint64_t q = 0; q < chunks; ++q) {
             const auto loc = place(q);
             driver_.preload(loc.ch, 2 * loc.unit, loc.row, loc.col,
-                            sliceBurst(a, q * kSimdLanes));
+                            sliceBurst(*a, q * kSimdLanes));
             if (b) {
                 driver_.preload(loc.ch, 2 * loc.unit + 1, loc.row, loc.col,
                                 sliceBurst(*b, q * kSimdLanes));
             }
         }
 
-        ActivityProbe probe(system_);
-        const PimRunResult run =
-            runPimProgramReplicated(system_, prog, channels);
-        const ChannelActivity activity = probe.delta();
-        timing.ns += run.ns;
-        timing.commands += run.commands;
-        timing.fences += run.fences;
-        timing.acts += activity.acts;
-        timing.pimTriggers += activity.pimTriggers;
-        timing.pimBankAccesses +=
-            activity.pimBankReads + activity.pimBankWrites;
-        timing.pimOps += activity.pimOps;
+        runKernel(prog, timing);
 
         // Functional readback (the result stays resident for the next
         // layer; reading it back is verification, not timed kernel
@@ -395,7 +446,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
             const auto loc = place(q);
             const Burst result =
                 driver_.peek(loc.ch, 2 * loc.unit, loc.row, 16 + loc.col);
-            unpackBurst(result, q * kSimdLanes, out);
+            unpackBurst(result, q * kSimdLanes, *out);
         }
 
         const bool faulted = anyUnitFaulted();
@@ -417,7 +468,7 @@ PimBlas::elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
 
     PIMSIM_WARN("element-wise PIM kernel still failing after ",
                 maxRetries_, " retries; falling back to host execution");
-    elementwiseGolden(op, relu_move, a, b, out);
+    elementwiseGolden(op, relu_move, *a, b, *out);
     timing.hostFallback = true;
     timing.eccCorrected = system_.errorLog().corrected() - corr0;
     timing.eccUncorrectable =
@@ -442,7 +493,8 @@ PimBlas::add(const Fp16Vector &a, const Fp16Vector &b, Fp16Vector &out)
     srfM_.reset();
     srfA_.reset();
     const double start = system_.nowNs();
-    const BlasTiming t = elementwise(PimOpcode::Add, false, a, &b, out);
+    const BlasTiming t =
+        elementwise(PimOpcode::Add, false, a.size(), &a, &b, &out);
     traceKernel("blas.add n" + std::to_string(a.size()), start);
     return t;
 }
@@ -453,7 +505,8 @@ PimBlas::mul(const Fp16Vector &a, const Fp16Vector &b, Fp16Vector &out)
     srfM_.reset();
     srfA_.reset();
     const double start = system_.nowNs();
-    const BlasTiming t = elementwise(PimOpcode::Mul, false, a, &b, out);
+    const BlasTiming t =
+        elementwise(PimOpcode::Mul, false, a.size(), &a, &b, &out);
     traceKernel("blas.mul n" + std::to_string(a.size()), start);
     return t;
 }
@@ -464,7 +517,8 @@ PimBlas::relu(const Fp16Vector &a, Fp16Vector &out)
     srfM_.reset();
     srfA_.reset();
     const double start = system_.nowNs();
-    const BlasTiming t = elementwise(PimOpcode::Mov, true, a, nullptr, out);
+    const BlasTiming t =
+        elementwise(PimOpcode::Mov, true, a.size(), &a, nullptr, &out);
     traceKernel("blas.relu n" + std::to_string(a.size()), start);
     return t;
 }
@@ -478,8 +532,36 @@ PimBlas::bn(const Fp16Vector &a, const Fp16Vector &gamma,
     srfM_ = packSrf(gamma);
     srfA_ = packSrf(beta);
     const double start = system_.nowNs();
-    const BlasTiming t = elementwise(PimOpcode::Mad, false, a, nullptr, out);
+    const BlasTiming t =
+        elementwise(PimOpcode::Mad, false, a.size(), &a, nullptr, &out);
     traceKernel("blas.bn n" + std::to_string(a.size()), start);
+    return t;
+}
+
+BlasTiming
+PimBlas::addShape(std::uint64_t elements)
+{
+    srfM_.reset();
+    srfA_.reset();
+    const double start = system_.nowNs();
+    const BlasTiming t =
+        elementwise(PimOpcode::Add, false, elements, nullptr, nullptr,
+                    nullptr);
+    traceKernel("blas.add n" + std::to_string(elements), start);
+    return t;
+}
+
+BlasTiming
+PimBlas::bnShape(std::uint64_t elements)
+{
+    // The SRF scalars are written in the prologue whatever their values.
+    srfM_ = Burst{};
+    srfA_ = Burst{};
+    const double start = system_.nowNs();
+    const BlasTiming t =
+        elementwise(PimOpcode::Mad, false, elements, nullptr, nullptr,
+                    nullptr);
+    traceKernel("blas.bn n" + std::to_string(elements), start);
     return t;
 }
 
@@ -490,6 +572,21 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
     PIMSIM_ASSERT(w.size() == std::size_t{m} * n, "W shape mismatch");
     PIMSIM_ASSERT(x.size() == n, "x length mismatch");
     y.assign(m, Fp16());
+    return gemvKernel(m, n, &w, &x, &y);
+}
+
+BlasTiming
+PimBlas::gemvShape(unsigned m, unsigned n)
+{
+    return gemvKernel(m, n, nullptr, nullptr, nullptr);
+}
+
+BlasTiming
+PimBlas::gemvKernel(unsigned m, unsigned n, const Fp16Vector *w,
+                    const Fp16Vector *x, Fp16Vector *y)
+{
+    const bool data = w != nullptr;
+    requireMode(data);
     if (m == 0 || n == 0)
         return {};
     const double start = system_.nowNs();
@@ -525,7 +622,8 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
         PIMSIM_WARN("GEMV cannot allocate ",
                     passes * w_rows_per_pass + out_rows, " PIM rows (free ",
                     driver_.freeRows(), "); computing on the host");
-        y = refGemv(w, m, n, x);
+        if (data)
+            *y = refGemv(*w, m, n, *x);
         timing.hostFallback = true;
         traceKernel(span_name, start);
         return timing;
@@ -559,7 +657,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
                                         col_start + lane;
                                     if (idx < n) {
                                         const Fp16Bits bits =
-                                            w[mm * n + idx].bits();
+                                            (*w)[mm * n + idx].bits();
                                         burst[2 * lane] = static_cast<
                                             std::uint8_t>(bits & 0xff);
                                         burst[2 * lane + 1] =
@@ -619,6 +717,11 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
 
     // SRF_A[0] = 0 clears accumulators between passes.
     const Burst zero_srf{};
+    // The x chunk a WR trigger carries (zero on a shape-only call: only
+    // config-row data steers the device).
+    auto x_burst = [&](std::uint64_t start) {
+        return data ? sliceBurst(*x, start) : Burst{};
+    };
 
     // ---- Command stream (identical on every channel) ----
     ChannelProgram prog;
@@ -644,7 +747,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
                     for (unsigned j = 0; j < 8; ++j) {
                         builder.write(
                             row, base + j,
-                            sliceBurst(x, std::uint64_t{nb} * 128 + j * 16));
+                            x_burst(std::uint64_t{nb} * 128 + j * 16));
                         fence_tick();
                     }
                 }
@@ -653,8 +756,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
                 // index (col % grfPerHalf) equals j for any GRF depth.
                 for (unsigned j = 0; j < 8; ++j) {
                     builder.write(
-                        row, j,
-                        sliceBurst(x, std::uint64_t{nb} * 128 + j * 16));
+                        row, j, x_burst(std::uint64_t{nb} * 128 + j * 16));
                     fence_tick();
                 }
                 for (unsigned k = 0; k < 2; ++k) {
@@ -685,24 +787,22 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
     const double stream_bw =
         system_.config().offChipBandwidthGBs() * 0.8; // GB/s ~= B/ns
 
+    if (!data) {
+        // Timing-only: one run, plus the analytic readback time the
+        // data call charges for streaming the partials back.
+        runKernel(prog, timing);
+        timing.readbackNs += partial_bytes / stream_bw;
+        traceKernel(span_name, start);
+        return timing;
+    }
+
     const std::uint64_t corr0 = system_.errorLog().corrected();
     const std::uint64_t uc_start = system_.errorLog().uncorrectable();
     for (unsigned attempt = 0; attempt <= maxRetries_; ++attempt) {
         const std::uint64_t uc0 = system_.errorLog().uncorrectable();
         preloadW();
 
-        ActivityProbe probe(system_);
-        const PimRunResult run =
-            runPimProgramReplicated(system_, prog, channels);
-        const ChannelActivity activity = probe.delta();
-        timing.ns += run.ns;
-        timing.commands += run.commands;
-        timing.fences += run.fences;
-        timing.acts += activity.acts;
-        timing.pimTriggers += activity.pimTriggers;
-        timing.pimBankAccesses +=
-            activity.pimBankReads + activity.pimBankWrites;
-        timing.pimOps += activity.pimOps;
+        runKernel(prog, timing);
 
         // ---- Host readback and lane reduction ----
         // Each output burst holds 16 FP16 partial sums; the host streams
@@ -722,7 +822,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
             double sum = 0.0;
             for (const auto &lane : lanes)
                 sum += static_cast<double>(lane.toFloat());
-            y[mm] = Fp16(static_cast<float>(sum));
+            (*y)[mm] = Fp16(static_cast<float>(sum));
         }
         timing.readbackNs += partial_bytes / stream_bw;
 
@@ -732,7 +832,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
             // Reported-error-free run: the only remaining hazard is a
             // silent corruption, which only the checksum can see.
             if (abft_)
-                abftVerifyGemv(w, m, n, x, y, blocks, timing);
+                abftVerifyGemv(*w, m, n, *x, *y, blocks, timing);
             timing.eccCorrected = system_.errorLog().corrected() - corr0;
             timing.eccUncorrectable =
                 system_.errorLog().uncorrectable() - uc_start;
@@ -750,7 +850,7 @@ PimBlas::gemv(const Fp16Vector &w, unsigned m, unsigned n,
 
     PIMSIM_WARN("GEMV PIM kernel still failing after ", maxRetries_,
                 " retries; falling back to host execution");
-    y = refGemv(w, m, n, x);
+    *y = refGemv(*w, m, n, *x);
     timing.hostFallback = true;
     timing.eccCorrected = system_.errorLog().corrected() - corr0;
     timing.eccUncorrectable = system_.errorLog().uncorrectable() - uc_start;

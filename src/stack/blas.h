@@ -8,7 +8,9 @@
  * functionally exact), and returns both the numerical result and the
  * measured execution time. Users call gemv()/add()/... without knowing
  * anything about banks, rows or PIM instructions — exactly the role the
- * paper assigns to PIM BLAS on top of the PIM runtime.
+ * paper assigns to PIM BLAS on top of the PIM runtime. On a timing-only
+ * system the shape-only calls run the same command programs without
+ * any operand data.
  */
 
 #ifndef PIMSIM_STACK_BLAS_H
@@ -101,6 +103,18 @@ class PimBlas
     BlasTiming gemv(const Fp16Vector &w, unsigned m, unsigned n,
                     const Fp16Vector &x, Fp16Vector &y);
 
+    /**
+     * Shape-only calls for a timing-only system (PimSystem::timingOnly).
+     * They allocate the same rows and run the same command program as
+     * add()/bn()/gemv(), so time and device activity match the data
+     * calls exactly, but no operand is staged, read back or reduced and
+     * the host golden path never runs. They panic on a functional
+     * system, and the data calls panic on a timing-only one.
+     */
+    BlasTiming addShape(std::uint64_t elements);
+    BlasTiming bnShape(std::uint64_t elements);
+    BlasTiming gemvShape(unsigned m, unsigned n);
+
     PimDriver &driver() { return driver_; }
     PimSystem &system() { return system_; }
 
@@ -138,19 +152,37 @@ class PimBlas
      * a silently wrong result beyond the band) and are attributed to
      * their (channel, unit) at the attached SdcMonitor.
      */
-    void setAbft(bool on) { abft_ = on; }
+    void setAbft(bool on);
     bool abft() const { return abft_; }
 
     /** Attribution sink for verified tile outcomes (nullptr detaches;
-     *  not owned, must outlive the BLAS instance or be detached). */
-    void setSdcMonitor(SdcMonitor *monitor) { sdcMonitor_ = monitor; }
+     *  not owned, must outlive the BLAS instance or be detached). ABFT
+     *  and the monitor check data, so both panic on a timing-only
+     *  system. */
+    void setSdcMonitor(SdcMonitor *monitor);
 
   private:
     /** Emit a kernel span [start_ns, now) if tracing is on. */
     void traceKernel(const std::string &name, double start_ns);
-    /** Element-wise kernels share one engine (op selects the ALU). */
-    BlasTiming elementwise(PimOpcode op, bool relu_move, const Fp16Vector &a,
-                           const Fp16Vector *b, Fp16Vector &out);
+    /**
+     * Element-wise kernels share one engine (op selects the ALU). With
+     * a == nullptr the call is shape-only (b and out are ignored).
+     */
+    BlasTiming elementwise(PimOpcode op, bool relu_move,
+                           std::uint64_t elements, const Fp16Vector *a,
+                           const Fp16Vector *b, Fp16Vector *out);
+
+    /** GEMV engine; w == nullptr makes the call shape-only (x and y are
+     *  then ignored). */
+    BlasTiming gemvKernel(unsigned m, unsigned n, const Fp16Vector *w,
+                          const Fp16Vector *x, Fp16Vector *y);
+
+    /** Panic unless the system's mode fits a data (or shape-only) call. */
+    void requireMode(bool data) const;
+
+    /** Run a kernel program on every channel and add its time and
+     *  device activity to `timing`. */
+    void runKernel(const ChannelProgram &program, BlasTiming &timing);
 
     /** Common program prologue: SB -> AB, load CRF/SRF, PIM_OP_MODE=1. */
     void appendPrologue(ProgramBuilder &builder,
