@@ -1,40 +1,48 @@
 /**
  * @file
  * Simulator self-performance: how fast the simulator itself runs, as
- * opposed to how fast the simulated machine is. Two measurements:
+ * opposed to how fast the simulated machine is. Three measurements:
  *
  *  - sim: the Table VI microbenchmark mix executed on the PIM-HBM
  *    system, with scrubbing and a trace session attached so the epoch
  *    merge and trace paths are on the clock too. Full runs also time
  *    the smoke-size mix (sim_smoke), so a committed full-size file
  *    still gives the CI smoke guard a baseline for the same work.
+ *  - cluster loop: the ClusterEngine event loop with its router queue
+ *    4096 deep (4 hosts x 4 stacks at 1.3x capacity, one service-time
+ *    cache entry). Same size in smoke and full runs.
  *  - lane micro: FP16 widen/narrow of every 16-bit pattern through the
  *    scalar per-element converters versus the batch kernels the PIM
  *    datapath uses. Their outputs must match; asserted in-binary.
  *
  * Output: BENCH_selfperf.json (simulated cycles/sec, memory
- * requests/sec, lane conversions/sec). CI runs `--smoke` and compares
- * sim_smoke.sim_cycles_per_sec against the committed baseline as a
- * perf regression guard.
+ * requests/sec, submitted cluster requests/sec, lane conversions/sec).
+ * CI runs `--smoke` and compares sim_smoke.sim_cycles_per_sec and
+ * cluster_loop.requests_per_sec against the committed baseline as a
+ * per-layer perf regression guard.
  *
  * Flags:
  *   --smoke       tiny workload (CI guard)
  *   --json-out=F  result file (default BENCH_selfperf.json; "" disables)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "cluster/cluster_engine.h"
 #include "common/fp16.h"
 #include "common/json.h"
 #include "common/trace.h"
+#include "serve/load_gen.h"
 #include "stack/workloads.h"
 
 using namespace pimsim;
@@ -121,6 +129,71 @@ runSimScenario(bool smoke, unsigned reps)
     return r;
 }
 
+/** What the cluster event-loop run cost and what it served. */
+struct ClusterLoopResult
+{
+    double wallMs = 0.0;
+    std::uint64_t requests = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t rejected = 0;
+    unsigned queueDepth = 0;
+};
+
+/**
+ * 100k Poisson arrivals at 1.3x the capacity of 4 hosts x 4 stacks
+ * serving FC-512, with a 4096-deep router queue and a deadline loose
+ * enough that the queue fills instead of expiring. The one service-time
+ * cache miss is taken before the clock starts, so the wall time is the
+ * event loop alone; `wallMs` is the median of five runs.
+ */
+ClusterLoopResult
+runClusterLoop()
+{
+    LayerSpec fc;
+    fc.kind = LayerSpec::Kind::Fc;
+    fc.hidden = 512;
+    fc.input = 512;
+    fc.steps = 2;
+    cluster::ClusterConfig cfg;
+    cfg.system = SystemConfig::pimHbmSystem();
+    cfg.system.numStacks = 1;
+    cfg.numHosts = 4;
+    cfg.stacksPerHost = 4;
+    cfg.app = AppSpec{"cluster-fc512", {fc}};
+    cfg.queueDepth = 4096;
+    cfg.cache = std::make_shared<serve::ServiceTimeCache>();
+    const double est = cluster::ClusterEngine(cfg).attemptEstimateNs();
+    cfg.deadlineNs = 2000.0 * est;
+
+    constexpr std::size_t kRequests = 100'000;
+    const double rate = 1.3 * cfg.numHosts * cfg.stacksPerHost * 1e9 / est;
+    std::vector<serve::Arrival> arrivals = serve::poissonArrivals(
+        {serve::ArrivalSpec{0, rate}}, 2.0 * kRequests * 1e9 / rate, 1);
+    arrivals.resize(kRequests);
+
+    // A run is ~0.1 s, so one noisy time slice moves it; report the
+    // median of five identical runs.
+    constexpr int kRuns = 5;
+    std::vector<double> walls;
+    ClusterLoopResult r;
+    for (int run = 0; run < kRuns; ++run) {
+        cluster::ClusterEngine eng(cfg);
+        const double t0 = nowMs();
+        for (const serve::Arrival &a : arrivals)
+            eng.submit(std::max(a.ns, eng.nowNs()));
+        eng.drain();
+        walls.push_back(nowMs() - t0);
+        const cluster::ClusterReport rep = eng.report();
+        r.requests = rep.submitted;
+        r.completed = rep.completed;
+        r.rejected = rep.rejected;
+    }
+    std::sort(walls.begin(), walls.end());
+    r.wallMs = walls[kRuns / 2];
+    r.queueDepth = cfg.queueDepth;
+    return r;
+}
+
 /** Raw conversion micro: scalar per-element loop vs batch kernels. */
 struct LaneResult
 {
@@ -198,6 +271,7 @@ main(int argc, char **argv)
     RunResult full_sim;
     if (!g_smoke)
         full_sim = runSimScenario(false, 4);
+    const ClusterLoopResult loop = runClusterLoop();
     const LaneResult lanes = runLaneMicro(lane_reps);
     const double lane_micro_speedup =
         lanes.batchMs > 0.0 ? lanes.scalarMs / lanes.batchMs : 1.0;
@@ -211,6 +285,12 @@ main(int argc, char **argv)
     print_sim("sim_smoke:", smoke_sim);
     if (!g_smoke)
         print_sim("sim:", full_sim);
+    std::printf("  cluster loop: %llu requests (queue %u deep) in %.1f ms "
+                "(median of 5), "
+                "%.0f req/s\n",
+                static_cast<unsigned long long>(loop.requests),
+                loop.queueDepth, loop.wallMs,
+                perSec(loop.requests, loop.wallMs));
     std::printf("  lane micro: scalar %.1f ms, batched %.1f ms over "
                 "%llu lanes (%.2fx)\n",
                 lanes.scalarMs, lanes.batchMs,
@@ -230,8 +310,9 @@ main(int argc, char **argv)
         JsonWriter w(os, /*pretty=*/true);
         w.beginObject();
         writeBenchPreamble(w, "selfperf", 0, g_smoke,
-                           "simulator self-performance: serial simulator "
-                           "+ FP16 lane conversion micro",
+                           "simulator self-performance: serial simulator, "
+                           "cluster event loop and FP16 lane conversion "
+                           "micro",
                            &self);
         w.field("hardware_concurrency", hw);
 
@@ -247,6 +328,15 @@ main(int argc, char **argv)
         write_sim("sim_smoke", smoke_sim);
         if (!g_smoke)
             write_sim("sim", full_sim);
+
+        w.key("cluster_loop").beginObject();
+        w.field("requests", loop.requests);
+        w.field("completed", loop.completed);
+        w.field("rejected", loop.rejected);
+        w.field("queue_depth", loop.queueDepth);
+        w.field("wall_ms", loop.wallMs);
+        w.field("requests_per_sec", perSec(loop.requests, loop.wallMs));
+        w.endObject();
 
         w.key("lane_micro").beginObject();
         w.field("lanes", lanes.lanes);

@@ -158,7 +158,7 @@ ClusterEngine::backlogEstimateNs() const
     std::uint64_t in_flight = 0;
     for (const auto &host : hosts_)
         in_flight += host->busyStacks();
-    return static_cast<double>(queue_.size() + in_flight) *
+    return static_cast<double>(liveQueued_ + in_flight) *
            attemptEstimateNs_ / alive_stacks;
 }
 
@@ -176,7 +176,7 @@ ClusterEngine::submit(double arrival_ns)
     if (reqTracer_ != nullptr)
         q.trace = reqTracer_->begin(arrival_ns);
 
-    if (queue_.size() >= config_.queueDepth) {
+    if (liveQueued_ >= config_.queueDepth) {
         ++rejected_;
         finishRequestTrace(q.trace, arrival_ns, deadline, nowNs_,
                            "rejected", /*erred=*/true, false, false);
@@ -192,7 +192,7 @@ ClusterEngine::submit(double arrival_ns)
             return false;
         }
     }
-    queue_.push_back(q);
+    enqueue(q, /*front=*/false);
     dispatchAll();
     return true;
 }
@@ -212,10 +212,10 @@ ClusterEngine::advanceTo(double ns)
 void
 ClusterEngine::drain()
 {
-    while (!queue_.empty() || !active_.empty()) {
+    while (liveQueued_ > 0 || !active_.empty()) {
         const double e = nextEventNs();
         PIMSIM_ASSERT(e != kNoEventNs, "cluster drain stuck with ",
-                      queue_.size(), " queued and ", active_.size(),
+                      liveQueued_, " queued and ", active_.size(),
                       " in flight");
         advanceTo(e);
     }
@@ -246,10 +246,8 @@ ClusterEngine::nextEventNs() const
         if (!a.hedgeFired && a.primary.active)
             next = std::min(next, a.hedgeAtNs);
     }
-    for (const auto &q : queue_) {
-        if (q.deadlineNs > 0.0)
-            next = std::min(next, q.deadlineNs);
-    }
+    if (!deadlines_.empty())
+        next = std::min(next, deadlines_.begin()->first);
     return next;
 }
 
@@ -301,24 +299,44 @@ ClusterEngine::processDue()
 }
 
 void
+ClusterEngine::enqueue(Queued q, bool front)
+{
+    q.key = front ? --frontKey_ : backKey_++;
+    if (q.deadlineNs > 0.0)
+        deadlines_.emplace(q.deadlineNs, q.key);
+    ++liveQueued_;
+    if (front)
+        queue_.push_front(std::move(q));
+    else
+        queue_.push_back(std::move(q));
+}
+
+void
 ClusterEngine::expireQueue()
 {
-    const auto expired = [this](const Queued &q) {
-        return q.deadlineNs > 0.0 && q.deadlineNs <= nowNs_;
-    };
-    const auto n = std::count_if(queue_.begin(), queue_.end(), expired);
-    if (n == 0)
+    if (deadlines_.empty() || deadlines_.begin()->first > nowNs_)
         return;
-    timedOut_ += static_cast<std::uint64_t>(n);
-    for (const Queued &q : queue_) {
-        if (expired(q)) {
-            finishRequestTrace(q.trace, q.arrivalNs, q.deadlineNs, nowNs_,
-                               "queue-timeout", /*erred=*/true,
-                               /*hedged=*/false, q.attempts > 1);
-        }
+    std::vector<std::int64_t> keys;
+    while (!deadlines_.empty() && deadlines_.begin()->first <= nowNs_) {
+        keys.push_back(deadlines_.begin()->second);
+        deadlines_.erase(deadlines_.begin());
     }
-    queue_.erase(std::remove_if(queue_.begin(), queue_.end(), expired),
-                 queue_.end());
+    // Key order is queue order, so same-instant expiries finish front
+    // to back.
+    std::sort(keys.begin(), keys.end());
+    timedOut_ += keys.size();
+    for (const std::int64_t key : keys) {
+        const auto it = std::lower_bound(
+            queue_.begin(), queue_.end(), key,
+            [](const Queued &q, std::int64_t k) { return q.key < k; });
+        PIMSIM_ASSERT(it != queue_.end() && it->key == key && it->live,
+                      "deadline index lost queue key ", key);
+        it->live = false;
+        --liveQueued_;
+        finishRequestTrace(it->trace, it->arrivalNs, it->deadlineNs, nowNs_,
+                           "queue-timeout", /*erred=*/true,
+                           /*hedged=*/false, it->attempts > 1);
+    }
 }
 
 int
@@ -474,9 +492,9 @@ ClusterEngine::finishCopy(Active &a, Copy &c, bool is_hedge)
         // No eligible capacity right now: back to the queue front with
         // the failed host remembered, so the budget survives the wait.
         ++retries_;
-        queue_.push_front(Queued{a.id, a.arrivalNs, a.deadlineNs,
-                                 a.attempts, static_cast<int>(c.host),
-                                 a.trace});
+        enqueue(Queued{a.id, a.arrivalNs, a.deadlineNs, a.attempts,
+                       static_cast<int>(c.host), a.trace},
+                /*front=*/true);
         active_.erase(a.id);
         return;
     }
@@ -591,13 +609,20 @@ ClusterEngine::noteHealth(unsigned host_id)
 void
 ClusterEngine::dispatchAll()
 {
-    while (!queue_.empty()) {
+    while (true) {
+        while (!queue_.empty() && !queue_.front().live)
+            queue_.pop_front(); // expired entries reaching the front
+        if (queue_.empty())
+            break;
         const Queued q = queue_.front();
         const int h =
             pickHost(/*avoid_suspect=*/q.attempts > 0, q.lastHost);
         if (h < 0)
             break; // head-of-line blocks until capacity frees
         queue_.pop_front();
+        --liveQueued_;
+        if (q.deadlineNs > 0.0)
+            deadlines_.erase({q.deadlineNs, q.key});
 
         Active a;
         a.id = q.id;

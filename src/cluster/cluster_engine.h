@@ -42,7 +42,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/host.h"
@@ -289,6 +291,10 @@ class ClusterEngine
         unsigned attempts = 0; ///< > 0 for requeued retries
         int lastHost = -1;     ///< host the last attempt failed on
         RequestTraceContext trace;
+        /** Queue position: keys ascend front to back (set by enqueue). */
+        std::int64_t key = 0;
+        /** False once expired: a tombstone until it reaches the front. */
+        bool live = true;
     };
 
     void processDue();
@@ -298,6 +304,8 @@ class ClusterEngine
     void finishCopy(Active &a, Copy &c, bool is_hedge);
     void fireHedge(Active &a);
     void fireProbe(unsigned host_id);
+    /** Queue `q` at the back (arrivals) or the front (requeued retries). */
+    void enqueue(Queued q, bool front);
     void expireQueue();
     /** Least-loaded eligible host with a free stack (-1 when none). */
     int pickHost(bool avoid_suspect, int exclude);
@@ -319,7 +327,18 @@ class ClusterEngine
     ClusterRouter router_;
     serve::HostFaultModel *faults_ = nullptr;
 
+    /**
+     * The router queue in key order, with expired entries left as
+     * tombstones until dispatch pops them off the front. `liveQueued_`
+     * counts the live entries; `deadlines_` indexes the live entries
+     * that carry a deadline by (deadline, key), so the next expiry is
+     * its first element.
+     */
     std::deque<Queued> queue_;
+    std::size_t liveQueued_ = 0;
+    std::set<std::pair<double, std::int64_t>> deadlines_;
+    std::int64_t frontKey_ = 0; ///< last key given to a front entry
+    std::int64_t backKey_ = 0;  ///< next key for a back entry
     std::map<std::uint64_t, Active> active_;
 
     Histogram attemptH_; ///< successful attempt latencies (hedge p95)

@@ -26,11 +26,14 @@ HostModel::HostModel(unsigned id, const SystemConfig &base,
     model_ = std::make_unique<serve::ShardServiceModel>(
         base, base.geometry.pchPerStack, std::move(cache));
     stacks_.resize(num_stacks);
+    free_ = num_stacks;
 }
 
 int
 HostModel::freeStack() const
 {
+    if (free_ == 0)
+        return -1;
     for (unsigned s = 0; s < stacks_.size(); ++s) {
         if (!stacks_[s].busy && !stacks_[s].quarantined)
             return static_cast<int>(s);
@@ -42,6 +45,8 @@ void
 HostModel::quarantineStack(unsigned stack)
 {
     PIMSIM_ASSERT(stack < stacks_.size(), "bad stack id ", stack);
+    if (!stacks_[stack].quarantined && !stacks_[stack].busy)
+        --free_;
     stacks_[stack].quarantined = true;
 }
 
@@ -49,6 +54,8 @@ void
 HostModel::restoreStack(unsigned stack)
 {
     PIMSIM_ASSERT(stack < stacks_.size(), "bad stack id ", stack);
+    if (stacks_[stack].quarantined && !stacks_[stack].busy)
+        ++free_;
     stacks_[stack].quarantined = false;
 }
 
@@ -74,6 +81,8 @@ HostModel::occupy(unsigned stack, double now_ns, double until_ns,
     stacks_[stack].sinceNs = now_ns;
     stacks_[stack].dispatch = dispatch;
     ++busy_;
+    if (!stacks_[stack].quarantined)
+        --free_;
     ++dispatches_;
     (void)until_ns; // completion is the engine's event, not the host's
 }
@@ -86,6 +95,8 @@ HostModel::release(unsigned stack, double now_ns)
     busyNs_ += now_ns - stacks_[stack].sinceNs;
     stacks_[stack].busy = false;
     --busy_;
+    if (!stacks_[stack].quarantined)
+        ++free_;
 }
 
 } // namespace pimsim::cluster

@@ -65,7 +65,8 @@ class HostModel
     Link &link() { return link_; }
     const Link &link() const { return link_; }
 
-    /** Lowest-numbered idle, non-quarantined stack (-1 when none). */
+    /** Lowest-numbered idle, non-quarantined stack (-1 when none,
+     *  without a scan). */
     int freeStack() const;
     unsigned busyStacks() const { return busy_; }
 
@@ -132,6 +133,7 @@ class HostModel
     Link link_;
     std::vector<Stack> stacks_;
     unsigned busy_ = 0;
+    unsigned free_ = 0; ///< idle, non-quarantined stacks
     std::uint64_t dispatches_ = 0;
     double busyNs_ = 0.0;
 };

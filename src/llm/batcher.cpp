@@ -53,6 +53,7 @@ ContinuousBatcher::admit(LlmRequest request)
         [](const LlmRequest &a, const LlmRequest &b) {
             return olderThan(a, b);
         });
+    waitingDeadlines_ += request.hasDeadline();
     waiting_.insert(pos, std::move(request));
     return true;
 }
@@ -82,6 +83,7 @@ ContinuousBatcher::beginIteration(double now, std::vector<LlmRequest> &joined)
         }
         LlmRequest req = std::move(head);
         waiting_.pop_front();
+        waitingDeadlines_ -= req.hasDeadline();
         req.kvSeq = seq;
         if (req.preemptions > 0)
             ++rejoins_;
@@ -156,9 +158,12 @@ std::vector<LlmRequest>
 ContinuousBatcher::expireQueued(double now)
 {
     std::vector<LlmRequest> expired;
+    if (waitingDeadlines_ == 0)
+        return expired;
     for (auto it = waiting_.begin(); it != waiting_.end();) {
         if (it->hasDeadline() && it->deadlineNs <= now) {
             expired.push_back(std::move(*it));
+            --waitingDeadlines_;
             it = waiting_.erase(it);
         } else {
             ++it;
@@ -202,6 +207,7 @@ ContinuousBatcher::preemptYoungest()
         [](const LlmRequest &a, const LlmRequest &b) {
             return olderThan(a, b);
         });
+    waitingDeadlines_ += victim.hasDeadline();
     waiting_.insert(pos, std::move(victim));
 }
 

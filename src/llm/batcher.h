@@ -161,6 +161,7 @@ class ContinuousBatcher
     RequestTracer *reqTracer_ = nullptr;
     double nowNs_ = 0.0; ///< last beginIteration timestamp (evict traces)
     std::deque<LlmRequest> waiting_; ///< FCFS by arrival (age order)
+    std::size_t waitingDeadlines_ = 0; ///< waiting_ entries with a deadline
     std::vector<LlmRequest> running_; ///< age order (oldest first)
     unsigned waveBatch_ = 0; ///< AdmitOnce: padded size of current wave
 

@@ -263,10 +263,21 @@ LlmEngine::svcFfn(unsigned batch) const
     return model_->serviceNs(ffnApp_, batch);
 }
 
+const AppSpec &
+LlmEngine::attnApp(unsigned ctx_bucket) const
+{
+    auto it = attnApps_.find(ctx_bucket);
+    if (it == attnApps_.end())
+        it = attnApps_
+                 .emplace(ctx_bucket, decodeAttnApp(config_.decoder, ctx_bucket))
+                 .first;
+    return it->second;
+}
+
 double
 LlmEngine::svcAttn(unsigned ctx_bucket) const
 {
-    return model_->serviceNs(decodeAttnApp(config_.decoder, ctx_bucket), 1);
+    return model_->serviceNs(attnApp(ctx_bucket), 1);
 }
 
 double
@@ -278,8 +289,7 @@ LlmEngine::prefillNs(unsigned context_tokens) const
     // context's batch.
     return svcFfn(bucket) +
            model_->serviceNs(
-               decodeAttnApp(config_.decoder,
-                             ctxBucket(context_tokens, config_.ctxGranule)),
+               attnApp(ctxBucket(context_tokens, config_.ctxGranule)),
                std::max(1u, bucket / 2));
 }
 

@@ -263,6 +263,8 @@ class LlmEngine
     double prefillNs(unsigned context_tokens) const;
     double svcFfn(unsigned batch) const;
     double svcAttn(unsigned ctx_bucket) const;
+    /** decodeAttnApp at `ctx_bucket`, built once per bucket. */
+    const AppSpec &attnApp(unsigned ctx_bucket) const;
     /** Optimistic completion estimate for deadline admission. */
     double estimateNs(unsigned tenant, unsigned prompt, unsigned output);
 
@@ -289,6 +291,7 @@ class LlmEngine
     std::unique_ptr<ContinuousBatcher> batcher_;
     mutable std::unique_ptr<serve::ShardServiceModel> model_;
     AppSpec ffnApp_;
+    mutable std::map<unsigned, AppSpec> attnApps_; ///< by ctx bucket
     std::vector<TenantState> tenants_;
 
     serve::FaultModel *faults_ = nullptr;

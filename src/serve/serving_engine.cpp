@@ -43,6 +43,23 @@ summariseHistogram(const Histogram &h)
 
 } // namespace
 
+ServingEngine::TenantStatKeys::TenantStatKeys(const std::string &tenant)
+{
+    const std::string base = "tenant." + tenant + ".";
+    submitted = base + "submitted";
+    shed = base + "shed";
+    rejected = base + "rejected";
+    admitted = base + "admitted";
+    timedOut = base + "timedOut";
+    sdcReruns = base + "sdcReruns";
+    retries = base + "retries";
+    fallbackCompleted = base + "fallbackCompleted";
+    silentlyWrong = base + "silentlyWrong";
+    sloViolations = base + "sloViolations";
+    completed = base + "completed";
+    batches = base + "batches";
+}
+
 ServingEngine::ServingEngine(const ServeConfig &config)
     : config_(config),
       system_(std::make_unique<PimSystem>(config.system)),
@@ -110,6 +127,7 @@ ServingEngine::ServingEngine(const ServeConfig &config)
 
     for (const auto &spec : config.tenants) {
         TenantState state{spec,
+                          TenantStatKeys(spec.name),
                           Histogram(config.histBucketNs, config.histBuckets),
                           Histogram(config.histBucketNs, config.histBuckets),
                           Histogram(config.histBucketNs, config.histBuckets)};
@@ -253,7 +271,7 @@ ServingEngine::submit(unsigned tenant, double arrival_ns)
 
     ++state.submitted;
     auto &stats = system_->serveStats();
-    stats.add("tenant." + state.spec.name + ".submitted");
+    stats.add(state.keys.submitted);
 
     if (config_.deadlineAdmission && request.hasDeadline()) {
         const unsigned s = plan_.shardOf(tenant);
@@ -261,18 +279,18 @@ ServingEngine::submit(unsigned tenant, double arrival_ns)
             nowNs_ + backlogNs(s) + svc1Ns(tenant);
         if (estimate > request.deadlineNs) {
             ++state.shed;
-            stats.add("tenant." + state.spec.name + ".shed");
+            stats.add(state.keys.shed);
             finishRequestTrace(request, nowNs_, "shed", true);
             return false;
         }
     }
 
     if (!queue_.tryPush(request)) {
-        stats.add("tenant." + state.spec.name + ".rejected");
+        stats.add(state.keys.rejected);
         finishRequestTrace(request, nowNs_, "rejected", true);
         return false;
     }
-    stats.add("tenant." + state.spec.name + ".admitted");
+    stats.add(state.keys.admitted);
     dispatchAll();
     return true;
 }
@@ -393,7 +411,7 @@ ServingEngine::expireDue()
             ServeRequest expired = *head;
             queue_.popFront(t);
             ++tenants_[t].timedOut;
-            stats.add("tenant." + tenants_[t].spec.name + ".timedOut");
+            stats.add(tenants_[t].keys.timedOut);
             finishRequestTrace(expired, nowNs_, "queue-timeout", true);
         }
     }
@@ -599,8 +617,7 @@ ServingEngine::finishBatch(unsigned shard)
         pending.readyNs = server.freeNs;
         pending.forceHost = true;
         state.retries += pending.batch.size();
-        stats.add("tenant." + state.spec.name + ".sdcReruns",
-                  pending.batch.size());
+        stats.add(state.keys.sdcReruns, pending.batch.size());
         if (trace_) {
             trace_->instant(kTracePidResilience,
                             static_cast<int>(shard), "sdcDetected",
@@ -621,8 +638,7 @@ ServingEngine::finishBatch(unsigned shard)
                 config_.retry.backoffNs(attempts, retryRng_);
             pending.forceHost = false;
             state.retries += pending.batch.size();
-            stats.add("tenant." + state.spec.name + ".retries",
-                      pending.batch.size());
+            stats.add(state.keys.retries, pending.batch.size());
         } else {
             // Budget spent: straight to the host golden path.
             pending.readyNs = server.freeNs;
@@ -642,18 +658,15 @@ ServingEngine::finishBatch(unsigned shard)
             ++state.completed;
             if (server.fallback) {
                 ++state.fallbackCompleted;
-                stats.add("tenant." + state.spec.name +
-                          ".fallbackCompleted");
+                stats.add(state.keys.fallbackCompleted);
             }
             if (sdc_silent) {
                 ++state.silentlyWrong;
-                stats.add("tenant." + state.spec.name +
-                          ".silentlyWrong");
+                stats.add(state.keys.silentlyWrong);
             }
             if (r.hasDeadline() && r.completeNs > r.deadlineNs) {
                 ++state.sloViolations;
-                stats.add("tenant." + state.spec.name +
-                          ".sloViolations");
+                stats.add(state.keys.sloViolations);
             }
             // A silently wrong completion burns SLO error budget like
             // an error: the user saw a bad answer on time.
@@ -661,9 +674,8 @@ ServingEngine::finishBatch(unsigned shard)
             completions_.push_back(r);
         }
         ++state.batches;
-        stats.add("tenant." + state.spec.name + ".completed",
-                  server.inFlight.size());
-        stats.add("tenant." + state.spec.name + ".batches");
+        stats.add(state.keys.completed, server.inFlight.size());
+        stats.add(state.keys.batches);
     }
 
     server.busy = false;

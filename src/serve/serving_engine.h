@@ -313,9 +313,20 @@ class ServingEngine
     std::vector<SloObservation> takeSloObservations();
 
   private:
+    /** A tenant's "tenant.<name>.<event>" serve-stat keys. */
+    struct TenantStatKeys
+    {
+        explicit TenantStatKeys(const std::string &tenant);
+
+        std::string submitted, shed, rejected, admitted, timedOut,
+            sdcReruns, retries, fallbackCompleted, silentlyWrong,
+            sloViolations, completed, batches;
+    };
+
     struct TenantState
     {
         TenantSpec spec;
+        TenantStatKeys keys;
         Histogram queueH;
         Histogram serviceH;
         Histogram e2eH;

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "cluster/cluster_engine.h"
 #include "cluster/host.h"
 #include "cluster/interconnect.h"
 #include "cluster/router.h"
 #include "serve/chaos.h"
+#include "serve/load_gen.h"
 
 namespace pimsim::cluster {
 namespace {
@@ -85,6 +90,38 @@ TEST(Link, BackToBackTransfersSerialize)
     EXPECT_DOUBLE_EQ(link.transfer(500, 2000.0), 2600.0);
     EXPECT_EQ(link.transfers(), 3u);
     EXPECT_DOUBLE_EQ(link.busyNs(), 1500.0);
+}
+
+// ------------------------------------------------------------------
+// Host stacks
+// ------------------------------------------------------------------
+
+TEST(HostModel, FreeStackSkipsBusyAndQuarantinedStacks)
+{
+    HostModel host(0, smallSystem(), 3, LinkConfig{}, nullptr);
+    EXPECT_EQ(host.freeStack(), 0);
+    host.occupy(0, 0.0, 1.0, 7);
+    EXPECT_EQ(host.freeStack(), 1);
+    host.quarantineStack(1);
+    host.quarantineStack(1); // idempotent
+    EXPECT_EQ(host.freeStack(), 2);
+    host.occupy(2, 0.0, 1.0, 8);
+    EXPECT_EQ(host.freeStack(), -1);
+
+    // A busy stack quarantined mid-dispatch stays out once it frees.
+    host.quarantineStack(0);
+    host.release(0, 1.0);
+    EXPECT_EQ(host.freeStack(), -1);
+    EXPECT_EQ(host.activeStacks(), 1u);
+
+    host.restoreStack(1);
+    host.restoreStack(1); // idempotent
+    EXPECT_EQ(host.freeStack(), 1);
+    host.release(2, 1.0);
+    host.restoreStack(0);
+    EXPECT_EQ(host.freeStack(), 0);
+    EXPECT_EQ(host.busyStacks(), 0u);
+    EXPECT_EQ(host.activeStacks(), 3u);
 }
 
 // ------------------------------------------------------------------
@@ -514,6 +551,285 @@ TEST(ClusterEngine, QueueBoundRejectsAndDeadlineExpiresQueued)
     EXPECT_LT(accepted, 50u);
     EXPECT_GT(r.rejected, 0u);
     EXPECT_GT(r.timedOut, 0u);
+}
+
+/** Drops the first copy of each listed request; everything else lands. */
+class DropRequests : public serve::HostFaultModel
+{
+  public:
+    explicit DropRequests(std::vector<std::uint64_t> ids) : ids_(std::move(ids))
+    {
+    }
+    bool hostCrashed(unsigned, double, double) override { return false; }
+    double hostSlowdown(unsigned, double) override { return 1.0; }
+    bool linkDropped(unsigned, std::uint64_t transfer_id, double) override
+    {
+        // Transfer id = request id << 12 | prior attempts << 1 | hedge.
+        return std::find(ids_.begin(), ids_.end(), transfer_id >> 12) !=
+                   ids_.end() &&
+               (transfer_id & 0xfff) == 0;
+    }
+
+  private:
+    std::vector<std::uint64_t> ids_;
+};
+
+TEST(ClusterEngine, ExpiredEntryBehindLiveRetryFreesItsQueueSlot)
+{
+    // Two one-stack hosts; one failure takes a host Down and no probe
+    // comes back before the deadlines. R0 and R1 fail and requeue at
+    // the front, R1 ahead of R0; R0 then expires behind the live R1,
+    // and its slot must admit the next arrival at once.
+    ClusterConfig cfg = smallCluster(2, 1);
+    cfg.admission = false;
+    cfg.queueDepth = 4;
+    cfg.router.health.window = 4;
+    cfg.router.health.minSamples = 1;
+    cfg.router.health.downThreshold = 1.0;
+    cfg.router.health.probeIntervalNs = 1e15;
+    const double est = ClusterEngine(cfg).attemptEstimateNs();
+    cfg.deadlineNs = 20.0 * est;
+
+    ClusterEngine eng(cfg);
+    DropRequests faults({0, 1});
+    eng.setFaultModel(&faults);
+    const std::vector<double> arrivals = {0.0, 0.1 * est, 0.2 * est,
+                                          0.3 * est, 20.05 * est};
+    for (const double a : arrivals)
+        EXPECT_TRUE(eng.submit(a)) << "arrival at " << a / est << " est";
+    eng.drain();
+
+    const ClusterReport r = eng.report();
+    r.reconcile();
+    EXPECT_EQ(r.rejected, 0u);
+    EXPECT_EQ(r.retries, 2u);
+    EXPECT_EQ(r.timedOut, 5u);
+    std::vector<double> expiries;
+    for (const SloObservation &o : eng.takeSloObservations()) {
+        EXPECT_FALSE(o.good);
+        expiries.push_back(o.tsNs);
+    }
+    std::vector<double> deadlines;
+    for (const double a : arrivals)
+        deadlines.push_back(a + cfg.deadlineNs);
+    std::sort(expiries.begin(), expiries.end());
+    EXPECT_EQ(expiries, deadlines);
+}
+
+// ------------------------------------------------------------------
+// Deep overload queue
+// ------------------------------------------------------------------
+
+/** 64-bit FNV-1a over a run's observable outputs. */
+class Fnv1a
+{
+  public:
+    void bytes(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= p[i];
+            h_ *= 0x100000001b3ull;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+    void f64(double v)
+    {
+        std::uint64_t b;
+        std::memcpy(&b, &v, sizeof b);
+        u64(b);
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Forwards to a ChaosCampaign and logs every request copy the engine
+ * asks about. The engine draws one link outcome per copy with transfer
+ * id (request id << 12 | prior attempts << 1 | hedge); probes carry
+ * 0xffff in the top 16 bits.
+ */
+class RecordingFaults : public serve::HostFaultModel
+{
+  public:
+    struct CopyLog
+    {
+        double dispatchNs = 0.0;
+        bool dropped = false;
+        bool hedge = false;
+        unsigned priorAttempts = 0;
+    };
+
+    RecordingFaults(serve::ChaosCampaign &chaos, std::size_t requests)
+        : copies(requests), chaos_(chaos)
+    {
+    }
+
+    bool hostCrashed(unsigned host, double start_ns, double end_ns) override
+    {
+        return chaos_.hostCrashed(host, start_ns, end_ns);
+    }
+    double hostSlowdown(unsigned host, double ns) override
+    {
+        return chaos_.hostSlowdown(host, ns);
+    }
+    bool linkDropped(unsigned host, std::uint64_t transfer_id,
+                     double ns) override
+    {
+        const bool dropped = chaos_.linkDropped(host, transfer_id, ns);
+        if ((transfer_id >> 48) != 0xffff) {
+            copies.at(transfer_id >> 12).push_back(
+                CopyLog{ns, dropped, (transfer_id & 1) != 0,
+                        static_cast<unsigned>((transfer_id >> 1) & 0x7ff)});
+        }
+        return dropped;
+    }
+
+    std::vector<std::vector<CopyLog>> copies; ///< per request id
+
+  private:
+    serve::ChaosCampaign &chaos_;
+};
+
+TEST(ClusterEngine, DeepQueueOverloadExpiresAtDeadlines)
+{
+    // 4 hosts x 2 stacks at 1.3x load with a 3x burst, arrivals on a
+    // half-attempt grid so groups of requests share an arrival instant
+    // and therefore a deadline. The queue runs ~8k deep and fills to
+    // its 10k bound in the burst; thousands of requests expire in it.
+    ClusterConfig cfg = smallCluster(4, 2);
+    cfg.admission = false;
+    cfg.queueDepth = 10'000;
+    cfg.maxAttempts = 3;
+    cfg.hedge.enabled = true;
+    cfg.hedge.minSamples = 16;
+    const double est = ClusterEngine(cfg).attemptEstimateNs();
+    // Off the arrival grid, so an expiry is an event of its own.
+    cfg.deadlineNs = 1000.3 * est;
+
+    const double capacity_rps = 8.0 * 1e9 / est;
+    const double rate = 1.3 * capacity_rps;
+    const double horizon_ns = 100'000.0 * 1e9 / rate;
+    serve::BurstSpec burst;
+    burst.startNs = 0.50 * horizon_ns;
+    burst.endNs = 0.55 * horizon_ns;
+    burst.factor = 3.0;
+    std::vector<serve::Arrival> arrivals = serve::burstyPoissonArrivals(
+        {serve::ArrivalSpec{0, rate}}, horizon_ns, 7, burst);
+    const double grid = est / 2.0;
+    for (serve::Arrival &a : arrivals)
+        a.ns = std::ceil(a.ns / grid) * grid;
+    ASSERT_GE(arrivals.size(), 100'000u);
+
+    // A flaky link on host 0 fails copies, whose retries re-enter at
+    // the queue front when every other stack is busy.
+    serve::ChaosConfig ccfg;
+    ccfg.seed = 3;
+    serve::ChaosCampaign chaos(ccfg, 1);
+    serve::HostFaultSpec flaky;
+    flaky.kind = serve::HostFaultSpec::Kind::FlakyLink;
+    flaky.host = 0;
+    flaky.startNs = 0.0;
+    flaky.endNs = 1e18;
+    flaky.lossProb = 0.02;
+    chaos.addHostFault(flaky);
+    RecordingFaults faults(chaos, arrivals.size());
+
+    ClusterEngine eng(cfg);
+    eng.setFaultModel(&faults);
+    std::vector<bool> accepted(arrivals.size());
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
+        accepted[i] = eng.submit(arrivals[i].ns);
+    eng.drain();
+
+    const ClusterReport r = eng.report();
+    r.reconcile();
+    const std::vector<SloObservation> obs = eng.takeSloObservations();
+    const std::vector<ClusterCompletion> done = eng.takeCompletions();
+    EXPECT_EQ(r.submitted, arrivals.size());
+    EXPECT_GT(r.rejected, 0u);
+    EXPECT_GT(r.timedOut, 5'000u);
+    EXPECT_GT(r.retries, 0u);
+    EXPECT_EQ(obs.size(), r.submitted);
+    EXPECT_EQ(done.size(), r.completed);
+
+    // Rebuild every bad observation's instant from the arrivals, the
+    // completions and the logged copies. A request that never left the
+    // queue expires exactly at its deadline; one whose every copy
+    // failed is requeued when the last failure is observed and expires
+    // at the later of that instant and its deadline, unless it spent
+    // its attempts.
+    std::vector<const ClusterCompletion *> completion(arrivals.size());
+    for (const ClusterCompletion &c : done)
+        completion.at(c.id) = &c;
+    std::vector<double> expect_bad;
+    std::uint64_t expect_timed_out = 0;
+    std::uint64_t expect_failed = 0;
+    std::uint64_t at_deadline = 0;
+    for (std::size_t id = 0; id < arrivals.size(); ++id) {
+        const double deadline = arrivals[id].ns + cfg.deadlineNs;
+        if (!accepted[id]) {
+            expect_bad.push_back(arrivals[id].ns);
+            continue;
+        }
+        if (const ClusterCompletion *c = completion[id]) {
+            EXPECT_EQ(c->deadlineNs, deadline);
+            if (!c->metDeadline())
+                expect_bad.push_back(c->completeNs);
+            continue;
+        }
+        double requeued = 0.0;
+        unsigned attempts = 0;
+        for (const RecordingFaults::CopyLog &copy : faults.copies[id]) {
+            ASSERT_TRUE(copy.dropped) << "request " << id;
+            requeued = std::max(requeued, copy.dispatchNs + eng.timeoutNs());
+            if (!copy.hedge)
+                attempts = std::max(attempts, copy.priorAttempts + 1);
+        }
+        if (attempts >= cfg.maxAttempts) {
+            ++expect_failed;
+            expect_bad.push_back(requeued);
+            continue;
+        }
+        ++expect_timed_out;
+        at_deadline += requeued <= deadline;
+        expect_bad.push_back(std::max(deadline, requeued));
+    }
+    EXPECT_EQ(r.timedOut, expect_timed_out);
+    EXPECT_EQ(r.failed, expect_failed);
+    EXPECT_GT(at_deadline, expect_timed_out / 2);
+
+    std::vector<double> bad;
+    for (const SloObservation &o : obs) {
+        if (!o.good)
+            bad.push_back(o.tsNs);
+    }
+    std::sort(bad.begin(), bad.end());
+    std::sort(expect_bad.begin(), expect_bad.end());
+    EXPECT_TRUE(bad == expect_bad) << bad.size() << " bad observations, "
+                                   << expect_bad.size() << " expected";
+
+    // Same-instant expiries finish in queue order: the whole output is
+    // pinned to the digest of the original full-queue-scan engine.
+    Fnv1a h;
+    const std::string json = r.toJson();
+    h.bytes(json.data(), json.size());
+    for (const SloObservation &o : obs) {
+        h.f64(o.tsNs);
+        h.u64(o.good);
+    }
+    for (const ClusterCompletion &c : done) {
+        h.u64(c.id);
+        h.f64(c.arrivalNs);
+        h.f64(c.completeNs);
+        h.f64(c.deadlineNs);
+        h.u64(c.host);
+        h.u64(c.attempts);
+        h.u64(c.hedgeWon);
+    }
+    EXPECT_EQ(h.value(), 0x3fbe575ff1eb2ce5ull) << std::hex << h.value();
 }
 
 } // namespace
