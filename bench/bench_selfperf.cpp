@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -249,18 +248,14 @@ perSec(std::uint64_t count, double wall_ms)
 int
 main(int argc, char **argv)
 {
-    std::string json_out = "BENCH_selfperf.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json-out=", 11) == 0)
-            json_out = argv[i] + 11;
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            g_smoke = true;
-        else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         argv[i]);
-            return 2;
-        }
+    BenchFlags flags{"BENCH_selfperf.json"};
+    parseBenchFlags(argc, argv, kFlagJsonOut | kFlagSmoke, flags);
+    if (argc > 1) {
+        std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[1]);
+        return 2;
     }
+    const std::string &json_out = flags.jsonOut;
+    g_smoke = flags.smoke;
     setQuiet(true);
 
     const unsigned hw = std::thread::hardware_concurrency();

@@ -13,12 +13,13 @@ namespace pimsim::cluster {
 void
 ClusterReport::reconcile() const
 {
-    const std::uint64_t terminal =
-        completed + shed + rejected + timedOut + failed;
-    PIMSIM_ASSERT(terminal == submitted, "cluster accounting leak: ",
-                  completed, " completed + ", shed, " shed + ", rejected,
-                  " rejected + ", timedOut, " timed out + ", failed,
-                  " failed != ", submitted, " submitted");
+    serve::assertBalanced({.submitted = submitted,
+                           .completed = completed,
+                           .shed = shed,
+                           .rejected = rejected,
+                           .timedOut = timedOut,
+                           .failed = failed},
+                          "cluster", "total");
 }
 
 std::string
@@ -101,6 +102,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig &config)
     timeoutNs_ = config_.timeoutNs > 0.0 ? config_.timeoutNs
                                          : 6.0 * attemptEstimateNs_;
 
+    ledger_.addSlot("request", requestTid());
     hostFailures_.assign(config.numHosts, 0);
     traceState_.assign(config.numHosts, HealthState::Healthy);
     traceSinceNs_.assign(config.numHosts, 0.0);
@@ -167,30 +169,27 @@ ClusterEngine::submit(double arrival_ns)
 {
     PIMSIM_ASSERT(arrival_ns >= nowNs_, "arrival in the past");
     advanceTo(arrival_ns);
-    ++submitted_;
     const std::uint64_t id = nextId_++;
     const double deadline =
         config_.deadlineNs > 0.0 ? arrival_ns + config_.deadlineNs : 0.0;
-
-    Queued q{id, arrival_ns, deadline, 0, -1, {}};
-    if (reqTracer_ != nullptr)
-        q.trace = reqTracer_->begin(arrival_ns);
-
-    if (liveQueued_ >= config_.queueDepth) {
-        ++rejected_;
-        finishRequestTrace(q.trace, arrival_ns, deadline, nowNs_,
-                           "rejected", /*erred=*/true, false, false);
+    const Queued q{id, arrival_ns, deadline, 0, -1,
+                   ledger_.submit(0, arrival_ns)};
+    const auto refuse = [&](serve::Terminal kind) {
+        ledger_.finish({.kind = kind,
+                        .arrivalNs = arrival_ns,
+                        .deadlineNs = deadline,
+                        .endNs = nowNs_,
+                        .trace = q.trace});
         return false;
-    }
+    };
+
+    if (liveQueued_ >= config_.queueDepth)
+        return refuse(serve::Terminal::Rejected);
     if (config_.admission && deadline > 0.0) {
         const double eta =
             nowNs_ + backlogEstimateNs() + attemptEstimateNs_;
-        if (eta > deadline) {
-            ++shed_;
-            finishRequestTrace(q.trace, arrival_ns, deadline, nowNs_,
-                               "shed", /*erred=*/true, false, false);
-            return false;
-        }
+        if (eta > deadline)
+            return refuse(serve::Terminal::Shed);
     }
     enqueue(q, /*front=*/false);
     dispatchAll();
@@ -324,7 +323,6 @@ ClusterEngine::expireQueue()
     // Key order is queue order, so same-instant expiries finish front
     // to back.
     std::sort(keys.begin(), keys.end());
-    timedOut_ += keys.size();
     for (const std::int64_t key : keys) {
         const auto it = std::lower_bound(
             queue_.begin(), queue_.end(), key,
@@ -333,9 +331,12 @@ ClusterEngine::expireQueue()
                       "deadline index lost queue key ", key);
         it->live = false;
         --liveQueued_;
-        finishRequestTrace(it->trace, it->arrivalNs, it->deadlineNs, nowNs_,
-                           "queue-timeout", /*erred=*/true,
-                           /*hedged=*/false, it->attempts > 1);
+        ledger_.finish({.kind = serve::Terminal::TimedOut,
+                        .arrivalNs = it->arrivalNs,
+                        .deadlineNs = it->deadlineNs,
+                        .endNs = nowNs_,
+                        .trace = it->trace,
+                        .failedOver = it->attempts > 1});
     }
 }
 
@@ -499,10 +500,13 @@ ClusterEngine::finishCopy(Active &a, Copy &c, bool is_hedge)
         return;
     }
 
-    ++failed_;
-    finishRequestTrace(a.trace, a.arrivalNs, a.deadlineNs, nowNs_,
-                       "attempts-exhausted", /*erred=*/true,
-                       a.hedgeFired, a.attempts > 1);
+    ledger_.finish({.kind = serve::Terminal::Failed,
+                    .arrivalNs = a.arrivalNs,
+                    .deadlineNs = a.deadlineNs,
+                    .endNs = nowNs_,
+                    .trace = a.trace,
+                    .hedged = a.hedgeFired,
+                    .failedOver = a.attempts > 1});
     active_.erase(a.id);
 }
 
@@ -527,17 +531,17 @@ ClusterEngine::completeRequest(Active &a, const Copy &winner,
     if (hedge_won)
         ++hedgeWins_;
 
-    ++completed_;
     const double lat = nowNs_ - a.arrivalNs;
     e2eH_.sample(static_cast<std::uint64_t>(lat), a.trace.traceId);
-    if (a.deadlineNs > 0.0 && nowNs_ > a.deadlineNs)
-        ++sloViolations_;
     completions_.push_back(ClusterCompletion{
         a.id, a.arrivalNs, nowNs_, a.deadlineNs, winner.host,
         std::max(a.attempts, 1u), hedge_won});
-    finishRequestTrace(a.trace, a.arrivalNs, a.deadlineNs, nowNs_,
-                       /*terminal=*/nullptr, /*erred=*/false,
-                       a.hedgeFired, a.attempts > 1);
+    ledger_.finish({.arrivalNs = a.arrivalNs,
+                    .deadlineNs = a.deadlineNs,
+                    .endNs = nowNs_,
+                    .trace = a.trace,
+                    .hedged = a.hedgeFired,
+                    .failedOver = a.attempts > 1});
 }
 
 void
@@ -650,39 +654,6 @@ ClusterEngine::dispatchAll()
     }
 }
 
-void
-ClusterEngine::finishRequestTrace(const RequestTraceContext &ctx,
-                                  double arrival_ns, double deadline_ns,
-                                  double end_ns, const char *terminal,
-                                  bool erred, bool hedged,
-                                  bool failed_over)
-{
-    const bool missed =
-        !erred && deadline_ns > 0.0 && end_ns > deadline_ns;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !ctx.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(ctx, kTracePidCluster, requestTid(),
-                            terminal, "terminal", end_ns);
-    }
-    reqTracer_->span(ctx, kTracePidCluster, requestTid(), "request",
-                    "request", arrival_ns, end_ns - arrival_ns);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - arrival_ns;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
-    outcome.hedged = hedged;
-    outcome.failedOver = failed_over;
-    reqTracer_->end(ctx, outcome);
-}
-
-std::vector<SloObservation>
-ClusterEngine::takeSloObservations()
-{
-    return std::exchange(sloObs_, {});
-}
-
 std::vector<ClusterCompletion>
 ClusterEngine::takeCompletions()
 {
@@ -694,13 +665,14 @@ ClusterEngine::report() const
 {
     ClusterReport r;
     r.horizonNs = nowNs_;
-    r.submitted = submitted_;
-    r.completed = completed_;
-    r.rejected = rejected_;
-    r.shed = shed_;
-    r.timedOut = timedOut_;
-    r.failed = failed_;
-    r.sloViolations = sloViolations_;
+    const serve::LedgerCounts &c = ledger_.counts(0);
+    r.submitted = c.submitted;
+    r.completed = c.completed;
+    r.rejected = c.rejected;
+    r.shed = c.shed;
+    r.timedOut = c.timedOut;
+    r.failed = c.failed;
+    r.sloViolations = c.sloViolations;
     r.retries = retries_;
     r.hedgesFired = hedgesFired_;
     r.hedgeWins = hedgeWins_;
@@ -708,16 +680,12 @@ ClusterEngine::report() const
     r.healthTransitions = router_.totalTransitions();
     if (nowNs_ > 0.0) {
         r.throughputRps =
-            static_cast<double>(completed_) * 1e9 / nowNs_;
+            static_cast<double>(c.completed) * 1e9 / nowNs_;
         r.goodputRps =
-            static_cast<double>(completed_ - sloViolations_) * 1e9 /
+            static_cast<double>(c.completed - c.sloViolations) * 1e9 /
             nowNs_;
     }
-    r.e2e.meanNs = e2eH_.mean();
-    r.e2e.p50Ns = e2eH_.p50();
-    r.e2e.p95Ns = e2eH_.p95();
-    r.e2e.p99Ns = e2eH_.p99();
-    r.e2e.maxNs = static_cast<double>(e2eH_.max());
+    r.e2e = serve::latencySummary(e2eH_);
     r.hosts.reserve(hosts_.size());
     for (unsigned h = 0; h < numHosts(); ++h) {
         HostReport hr;

@@ -53,8 +53,9 @@
 #include "common/reqtrace.h"
 #include "common/slo.h"
 #include "common/stats.h"
+#include "serve/request_ledger.h"
 #include "serve/resilience.h"
-#include "serve/serving_engine.h" // LatencySummary
+#include "serve/service_model.h"
 #include "sim/system_config.h"
 #include "stack/workloads.h"
 
@@ -222,7 +223,11 @@ class ClusterEngine
      * cross-host flow edges, and its terminal state are buffered as a
      * span tree and tail-sampled at the tracer. Not owned.
      */
-    void setRequestTracer(RequestTracer *tracer) { reqTracer_ = tracer; }
+    void setRequestTracer(RequestTracer *tracer)
+    {
+        reqTracer_ = tracer;
+        ledger_.setTracer(tracer);
+    }
 
     /**
      * Per-request terminal observations (timestamp + met-its-SLO)
@@ -230,7 +235,10 @@ class ClusterEngine
      * rejections, timeouts, failures and late completions are bad;
      * in-deadline completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
     /**
      * Submit one request arriving at `arrival_ns` (>= the engine clock).
@@ -313,12 +321,6 @@ class ClusterEngine
     void noteHealth(unsigned host_id);
     /** The per-request track on the cluster pid ("router" timeline). */
     int requestTid() const { return static_cast<int>(numHosts()); }
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(const RequestTraceContext &ctx,
-                            double arrival_ns, double deadline_ns,
-                            double end_ns, const char *terminal,
-                            bool erred, bool hedged, bool failed_over);
     double backlogEstimateNs() const;
     std::uint64_t transferId(const Active &a, bool is_hedge) const;
 
@@ -349,14 +351,8 @@ class ClusterEngine
     double attemptEstimateNs_ = 0.0;
     double timeoutNs_ = 0.0;
 
-    // Terminal-state accounting.
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t timedOut_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t sloViolations_ = 0;
+    /** Terminal accounting, SLO feed and trace close (one slot). */
+    serve::RequestLedger ledger_{kTracePidCluster};
     std::uint64_t retries_ = 0;
     std::uint64_t hedgesFired_ = 0;
     std::uint64_t hedgeWins_ = 0;
@@ -364,7 +360,6 @@ class ClusterEngine
     std::vector<std::uint64_t> hostFailures_;
 
     std::vector<ClusterCompletion> completions_;
-    std::vector<SloObservation> sloObs_;
 
     RequestTracer *reqTracer_ = nullptr;
     TraceSession *trace_ = nullptr;

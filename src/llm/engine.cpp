@@ -1,6 +1,7 @@
 #include "llm/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -8,34 +9,16 @@
 
 namespace pimsim::llm {
 
-namespace {
-
-serve::LatencySummary
-summariseHist(const Histogram &h)
-{
-    serve::LatencySummary s;
-    if (h.count() == 0)
-        return s;
-    s.meanNs = h.mean();
-    s.p50Ns = h.p50();
-    s.p95Ns = h.p95();
-    s.p99Ns = h.p99();
-    s.maxNs = static_cast<double>(h.max());
-    return s;
-}
-
-} // namespace
-
 void
 LlmReport::reconcile() const
 {
     const auto check = [](const LlmTenantReport &t) {
-        PIMSIM_ASSERT(t.completed + t.shed + t.timedOut + t.rejected ==
-                          t.submitted,
-                      "LLM terminal-state drift for '", t.name,
-                      "': completed ", t.completed, " + shed ", t.shed,
-                      " + timedOut ", t.timedOut, " + rejected ", t.rejected,
-                      " != submitted ", t.submitted);
+        serve::assertBalanced({.submitted = t.submitted,
+                               .completed = t.completed,
+                               .shed = t.shed,
+                               .rejected = t.rejected,
+                               .timedOut = t.timedOut},
+                              "LLM", t.name);
         PIMSIM_ASSERT(t.admitted == t.submitted - t.rejected - t.shed,
                       "LLM admission drift for '", t.name, "'");
     };
@@ -112,6 +95,7 @@ LlmEngine::LlmEngine(const LlmEngineConfig &config) : config_(config)
         registry.addHistogram(base + ".ttftNs", &t.ttftH);
         registry.addHistogram(base + ".perTokenNs", &t.perTokenH);
         registry.addHistogram(base + ".e2eNs", &t.e2eH);
+        ledger_.addSlot("request", 2);
     }
     registry.addGroup("llm", &stats_);
     registry.addGroup("llm.kv", &kv_->statsGroup());
@@ -126,8 +110,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     PIMSIM_ASSERT(prompt_tokens >= 1 && output_tokens >= 1,
                   "empty prompt or output");
     advanceTo(arrival_ns);
-    TenantState &t = tenants_[tenant];
-    ++t.submitted;
+    const TenantState &t = tenants_[tenant];
 
     LlmRequest req;
     req.id = nextId_++;
@@ -137,8 +120,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     req.arrivalNs = arrival_ns;
     if (t.spec.deadlineNs > 0.0)
         req.deadlineNs = arrival_ns + t.spec.deadlineNs;
-    if (reqTracer_ != nullptr)
-        req.trace = reqTracer_->begin(arrival_ns);
+    req.trace = ledger_.submit(tenant, arrival_ns);
 
     // Feasibility: an admitted request must be guaranteed to fit its
     // tenant's KV budget at terminal length, or preemption could churn
@@ -146,8 +128,7 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
     const unsigned total_tokens = prompt_tokens + output_tokens;
     if (total_tokens > config_.decoder.maxContextTokens ||
         kv_->blocksFor(total_tokens) > kv_->capBlocks(tenant)) {
-        ++t.rejected;
-        finishRequestTrace(req, nowNs_, "rejected", /*erred=*/true);
+        finishEarly(req, serve::Terminal::Rejected);
         return false;
     }
 
@@ -155,19 +136,16 @@ LlmEngine::submit(unsigned tenant, double arrival_ns, unsigned prompt_tokens,
         // Optimistic estimate (zero queueing, full batch amortisation
         // unavailable): if even that misses the deadline, shed now
         // rather than burning decode iterations on a doomed request.
-        const double est = estimateNs(tenant, prompt_tokens, output_tokens);
+        const double est = estimateNs(prompt_tokens, output_tokens);
         if (arrival_ns + est > req.deadlineNs) {
-            ++t.shed;
-            finishRequestTrace(req, nowNs_, "shed", /*erred=*/true);
+            finishEarly(req, serve::Terminal::Shed);
             return false;
         }
     }
 
     const LlmRequest admitted = req; // admit() consumes the request
     if (!batcher_->admit(std::move(req))) {
-        ++t.rejected;
-        finishRequestTrace(admitted, nowNs_, "queue-full",
-                           /*erred=*/true);
+        finishEarly(admitted, serve::Terminal::Rejected, "queue-full");
         return false;
     }
     if (!iterationInFlight_)
@@ -247,14 +225,7 @@ LlmEngine::setRequestTracer(RequestTracer *tracer)
 {
     reqTracer_ = tracer;
     batcher_->setRequestTracer(tracer);
-}
-
-std::vector<SloObservation>
-LlmEngine::takeSloObservations()
-{
-    std::vector<SloObservation> out;
-    out.swap(sloObs_);
-    return out;
+    ledger_.setTracer(tracer);
 }
 
 double
@@ -308,9 +279,8 @@ LlmEngine::iterationNs(const std::vector<LlmRequest> &joined) const
 }
 
 double
-LlmEngine::estimateNs(unsigned tenant, unsigned prompt, unsigned output)
+LlmEngine::estimateNs(unsigned prompt, unsigned output)
 {
-    (void)tenant;
     const double per_token =
         svcFfn(1) +
         svcAttn(ctxBucket(prompt + output, config_.ctxGranule));
@@ -398,43 +368,29 @@ void
 LlmEngine::expireDue()
 {
     for (const LlmRequest &dead : batcher_->expireQueued(nowNs_)) {
-        TenantState &t = tenants_[dead.tenant];
-        ++t.timedOut;
-        t.preemptions += dead.preemptions;
-        finishRequestTrace(dead, nowNs_, "queue-timeout", /*erred=*/true);
+        tenants_[dead.tenant].preemptions += dead.preemptions;
+        finishEarly(dead, serve::Terminal::TimedOut);
     }
 }
 
 void
-LlmEngine::finishRequestTrace(const LlmRequest &request, double end_ns,
-                              const char *terminal, bool erred)
+LlmEngine::finishEarly(const LlmRequest &request, serve::Terminal kind,
+                       const char *instant)
 {
-    const bool missed = !erred && request.hasDeadline() &&
-                        end_ns > request.deadlineNs;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !request.trace.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(request.trace, kTracePidLlm, 2, terminal,
-                            "terminal", end_ns);
-    }
-    reqTracer_->span(request.trace, kTracePidLlm, 2, "request", "request",
-                     request.arrivalNs, end_ns - request.arrivalNs);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - request.arrivalNs;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
-    // Evict-and-requeue is the LLM tier's failover analogue: preempted
-    // requests are always worth keeping.
-    outcome.failedOver = request.preemptions > 0;
-    reqTracer_->end(request.trace, outcome);
+    ledger_.finish({.slot = request.tenant,
+                    .kind = kind,
+                    .arrivalNs = request.arrivalNs,
+                    .deadlineNs = request.deadlineNs,
+                    .endNs = nowNs_,
+                    .trace = request.trace,
+                    .failedOver = request.preemptions > 0,
+                    .instant = instant});
 }
 
 void
 LlmEngine::recordCompletion(const LlmRequest &request)
 {
     TenantState &t = tenants_[request.tenant];
-    ++t.completed;
     t.tokensOut += request.outputTokens;
     t.preemptions += request.preemptions;
     t.ttftH.sample(static_cast<std::uint64_t>(
@@ -450,34 +406,32 @@ LlmEngine::recordCompletion(const LlmRequest &request)
                            e2e / std::max(1u, request.outputTokens)),
                        request.trace.traceId);
     t.e2eH.sample(static_cast<std::uint64_t>(e2e), request.trace.traceId);
-    if (request.hasDeadline() && request.completeNs > request.deadlineNs)
-        ++t.sloViolations;
-    else
+    // Evict-and-requeue is the LLM tier's failover analogue: preempted
+    // requests are always worth keeping.
+    const bool late = ledger_.finish({.slot = request.tenant,
+                                      .arrivalNs = request.arrivalNs,
+                                      .deadlineNs = request.deadlineNs,
+                                      .endNs = request.completeNs,
+                                      .trace = request.trace,
+                                      .failedOver = request.preemptions > 0});
+    if (!late)
         t.goodTokens += request.outputTokens;
-    finishRequestTrace(request, request.completeNs, /*terminal=*/nullptr,
-                       /*erred=*/false);
     completions_.push_back(request);
 }
 
 LlmTenantReport
-LlmEngine::summarise(const TenantState &t, double horizon_ns) const
+LlmEngine::summarise(const std::string &name,
+                     const serve::LedgerCounts &c) const
 {
     LlmTenantReport r;
-    r.name = t.spec.name;
-    r.submitted = t.submitted;
-    r.rejected = t.rejected;
-    r.shed = t.shed;
-    r.timedOut = t.timedOut;
-    r.completed = t.completed;
-    r.admitted = t.submitted - t.rejected - t.shed;
-    r.preemptions = t.preemptions;
-    r.sloViolations = t.sloViolations;
-    r.tokensOut = t.tokensOut;
-    r.goodputTokensPerSec =
-        horizon_ns > 0.0 ? t.goodTokens * 1e9 / horizon_ns : 0.0;
-    r.ttft = summariseHist(t.ttftH);
-    r.perToken = summariseHist(t.perTokenH);
-    r.e2e = summariseHist(t.e2eH);
+    r.name = name;
+    r.submitted = c.submitted;
+    r.rejected = c.rejected;
+    r.shed = c.shed;
+    r.timedOut = c.timedOut;
+    r.completed = c.completed;
+    r.admitted = c.submitted - c.rejected - c.shed;
+    r.sloViolations = c.sloViolations;
     return r;
 }
 
@@ -486,44 +440,41 @@ LlmEngine::report() const
 {
     LlmReport report;
     report.horizonNs = nowNs_;
-    TenantState total(LlmTenantSpec{"total", 0.0, 0}, 1, 1);
-    for (const TenantState &t : tenants_) {
-        report.tenants.push_back(summarise(t, nowNs_));
-        total.submitted += t.submitted;
-        total.rejected += t.rejected;
-        total.shed += t.shed;
-        total.timedOut += t.timedOut;
-        total.completed += t.completed;
+    report.total = summarise("total", ledger_.total());
+    LlmTenantReport &total = report.total;
+    std::uint64_t good_tokens = 0;
+    const auto goodput = [&](std::uint64_t tokens) {
+        return nowNs_ > 0.0 ? tokens * 1e9 / nowNs_ : 0.0;
+    };
+    for (unsigned i = 0; i < tenants_.size(); ++i) {
+        const TenantState &t = tenants_[i];
+        LlmTenantReport r = summarise(t.spec.name, ledger_.counts(i));
+        r.preemptions = t.preemptions;
+        r.tokensOut = t.tokensOut;
+        r.goodputTokensPerSec = goodput(t.goodTokens);
         total.preemptions += t.preemptions;
-        total.sloViolations += t.sloViolations;
         total.tokensOut += t.tokensOut;
-        total.goodTokens += t.goodTokens;
+        good_tokens += t.goodTokens;
+        r.ttft = serve::latencySummary(t.ttftH);
+        r.perToken = serve::latencySummary(t.perTokenH);
+        r.e2e = serve::latencySummary(t.e2eH);
+        report.tenants.push_back(std::move(r));
     }
-    report.total = summarise(total, nowNs_);
+    total.goodputTokensPerSec = goodput(good_tokens);
     // Aggregate quantiles cannot be rebuilt from per-tenant quantiles:
     // with one tenant the totals are exact, otherwise take the max of
     // the per-tenant tails — conservative for acceptance checks.
-    report.total.ttft = serve::LatencySummary{};
-    report.total.perToken = serve::LatencySummary{};
-    report.total.e2e = serve::LatencySummary{};
-    if (tenants_.size() == 1) {
-        report.total.ttft = report.tenants[0].ttft;
-        report.total.perToken = report.tenants[0].perToken;
-        report.total.e2e = report.tenants[0].e2e;
-    } else {
+    for (serve::LatencySummary LlmTenantReport::*member :
+         {&LlmTenantReport::ttft, &LlmTenantReport::perToken,
+          &LlmTenantReport::e2e}) {
+        serve::LatencySummary &total = report.total.*member;
+        if (tenants_.size() == 1) {
+            total = report.tenants[0].*member;
+            continue;
+        }
         for (const LlmTenantReport &t : report.tenants) {
-            report.total.ttft.p99Ns =
-                std::max(report.total.ttft.p99Ns, t.ttft.p99Ns);
-            report.total.perToken.p99Ns =
-                std::max(report.total.perToken.p99Ns, t.perToken.p99Ns);
-            report.total.e2e.p99Ns =
-                std::max(report.total.e2e.p99Ns, t.e2e.p99Ns);
-            report.total.ttft.maxNs =
-                std::max(report.total.ttft.maxNs, t.ttft.maxNs);
-            report.total.perToken.maxNs =
-                std::max(report.total.perToken.maxNs, t.perToken.maxNs);
-            report.total.e2e.maxNs =
-                std::max(report.total.e2e.maxNs, t.e2e.maxNs);
+            total.p99Ns = std::max(total.p99Ns, (t.*member).p99Ns);
+            total.maxNs = std::max(total.maxNs, (t.*member).maxNs);
         }
     }
     report.iterations = iterations_;
@@ -550,7 +501,7 @@ LlmEngine::report() const
     stats.add("preemptions", report.total.preemptions);
     stats.add("tokensOut", report.total.tokensOut);
     stats.set("meanBatch", report.meanBatch);
-    (void)kv_->statsGroup();
+    kv_->statsGroup(); // refreshes the registry-visible "llm.kv" group
     return report;
 }
 

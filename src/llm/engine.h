@@ -45,9 +45,9 @@
 #include "llm/batcher.h"
 #include "llm/decoder.h"
 #include "llm/kv_cache.h"
+#include "serve/request_ledger.h"
 #include "serve/resilience.h"
 #include "serve/service_model.h"
-#include "serve/serving_engine.h"
 #include "sim/system.h"
 #include "stack/driver.h"
 
@@ -221,7 +221,10 @@ class LlmEngine
      * rejections, timeouts and late completions are bad; in-deadline
      * completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
     /** Aggregate statistics over everything served so far. */
     LlmReport report() const;
@@ -247,13 +250,8 @@ class LlmEngine
         Histogram ttftH;
         Histogram perTokenH;
         Histogram e2eH;
-        std::uint64_t submitted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t timedOut = 0;
-        std::uint64_t completed = 0;
+        // Counters the request ledger does not keep.
         std::uint64_t preemptions = 0;
-        std::uint64_t sloViolations = 0;
         std::uint64_t tokensOut = 0;
         std::uint64_t goodTokens = 0; ///< tokens of SLO-met completions
     };
@@ -266,7 +264,7 @@ class LlmEngine
     /** decodeAttnApp at `ctx_bucket`, built once per bucket. */
     const AppSpec &attnApp(unsigned ctx_bucket) const;
     /** Optimistic completion estimate for deadline admission. */
-    double estimateNs(unsigned tenant, unsigned prompt, unsigned output);
+    double estimateNs(unsigned prompt, unsigned output);
 
     /** Start the next iteration if any work is runnable. */
     void dispatch();
@@ -275,12 +273,12 @@ class LlmEngine
     /** Time out queued requests whose deadline has passed. */
     void expireDue();
     void recordCompletion(const LlmRequest &request);
-    void traceKvSpan(double start_ns, double end_ns);
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(const LlmRequest &request, double end_ns,
-                            const char *terminal, bool erred);
-    LlmTenantReport summarise(const TenantState &t, double horizon_ns) const;
+    /** Close a request that never completed. */
+    void finishEarly(const LlmRequest &request, serve::Terminal kind,
+                     const char *instant = nullptr);
+    /** A report of the ledger's counts. */
+    LlmTenantReport summarise(const std::string &name,
+                              const serve::LedgerCounts &c) const;
 
     LlmEngineConfig config_;
     std::unique_ptr<PimSystem> system_;
@@ -297,7 +295,7 @@ class LlmEngine
     serve::FaultModel *faults_ = nullptr;
     TraceSession *trace_ = nullptr;
     RequestTracer *reqTracer_ = nullptr;
-    std::vector<SloObservation> sloObs_;
+    serve::RequestLedger ledger_{kTracePidLlm};
     mutable StatGroup stats_{"llm"};
 
     bool iterationInFlight_ = false;

@@ -29,18 +29,6 @@ toNsSample(double ns)
                      : static_cast<std::uint64_t>(std::llround(ns));
 }
 
-LatencySummary
-summariseHistogram(const Histogram &h)
-{
-    LatencySummary s;
-    s.meanNs = h.mean();
-    s.p50Ns = h.p50();
-    s.p95Ns = h.p95();
-    s.p99Ns = h.p99();
-    s.maxNs = static_cast<double>(h.max());
-    return s;
-}
-
 } // namespace
 
 ServingEngine::TenantStatKeys::TenantStatKeys(const std::string &tenant)
@@ -137,11 +125,14 @@ ServingEngine::ServingEngine(const ServeConfig &config)
     // Register the latency histograms only once tenants_ has its final
     // size: a later push_back would reallocate and dangle the pointers.
     auto &registry = system_->statsRegistry();
-    for (auto &t : tenants_) {
-        const std::string base = "serve.tenant." + t.spec.name;
-        registry.addHistogram(base + ".queueNs", &t.queueH);
-        registry.addHistogram(base + ".serviceNs", &t.serviceH);
-        registry.addHistogram(base + ".e2eNs", &t.e2eH);
+    for (unsigned t = 0; t < tenants_.size(); ++t) {
+        TenantState &state = tenants_[t];
+        const std::string base = "serve.tenant." + state.spec.name;
+        registry.addHistogram(base + ".queueNs", &state.queueH);
+        registry.addHistogram(base + ".serviceNs", &state.serviceH);
+        registry.addHistogram(base + ".e2eNs", &state.e2eH);
+        ledger_.addSlot("request " + state.spec.name,
+                        static_cast<int>(plan_.shardOf(t)));
     }
 }
 
@@ -222,34 +213,6 @@ ServingEngine::backlogNs(unsigned s)
     return backlog;
 }
 
-void
-ServingEngine::finishRequestTrace(ServeRequest &request, double end_ns,
-                                  const char *terminal, bool erred)
-{
-    const bool missed =
-        !erred && request.hasDeadline() && end_ns > request.deadlineNs;
-    sloObs_.push_back(SloObservation{end_ns, !erred && !missed});
-    if (reqTracer_ == nullptr || !request.trace.active())
-        return;
-    if (terminal != nullptr) {
-        reqTracer_->instant(request.trace,
-                            kTracePidServing,
-                            static_cast<int>(plan_.shardOf(request.tenant)),
-                            terminal, "terminal", end_ns);
-    }
-    reqTracer_->span(request.trace, kTracePidServing,
-                     static_cast<int>(plan_.shardOf(request.tenant)),
-                     "request " + tenants_[request.tenant].spec.name,
-                     "request", request.arrivalNs,
-                     end_ns - request.arrivalNs);
-    TraceOutcome outcome;
-    outcome.latencyNs = end_ns - request.arrivalNs;
-    outcome.erred = erred;
-    outcome.deadlineMissed = missed;
-    outcome.failedOver = request.attempts > 1 || request.hostFallback;
-    reqTracer_->end(request.trace, outcome);
-}
-
 bool
 ServingEngine::submit(unsigned tenant, double arrival_ns)
 {
@@ -266,30 +229,31 @@ ServingEngine::submit(unsigned tenant, double arrival_ns)
     request.arrivalNs = arrival_ns;
     if (state.spec.deadlineNs > 0.0)
         request.deadlineNs = arrival_ns + state.spec.deadlineNs;
-    if (reqTracer_ != nullptr)
-        request.trace = reqTracer_->begin(arrival_ns);
-
-    ++state.submitted;
+    request.trace = ledger_.submit(tenant, arrival_ns);
     auto &stats = system_->serveStats();
     stats.add(state.keys.submitted);
+    // A request that never reached a shard ends at its arrival.
+    const auto refuse = [&](Terminal kind, const std::string &key) {
+        stats.add(key);
+        ledger_.finish({.slot = tenant,
+                        .kind = kind,
+                        .arrivalNs = arrival_ns,
+                        .deadlineNs = request.deadlineNs,
+                        .endNs = nowNs_,
+                        .trace = request.trace});
+        return false;
+    };
 
     if (config_.deadlineAdmission && request.hasDeadline()) {
         const unsigned s = plan_.shardOf(tenant);
         const double estimate =
             nowNs_ + backlogNs(s) + svc1Ns(tenant);
-        if (estimate > request.deadlineNs) {
-            ++state.shed;
-            stats.add(state.keys.shed);
-            finishRequestTrace(request, nowNs_, "shed", true);
-            return false;
-        }
+        if (estimate > request.deadlineNs)
+            return refuse(Terminal::Shed, state.keys.shed);
     }
 
-    if (!queue_.tryPush(request)) {
-        stats.add(state.keys.rejected);
-        finishRequestTrace(request, nowNs_, "rejected", true);
-        return false;
-    }
+    if (!queue_.tryPush(request))
+        return refuse(Terminal::Rejected, state.keys.rejected);
     stats.add(state.keys.admitted);
     dispatchAll();
     return true;
@@ -352,13 +316,12 @@ void
 ServeReport::reconcile() const
 {
     const auto check = [](const TenantReport &t) {
-        const std::uint64_t terminal =
-            t.completed + t.shed + t.timedOut + t.rejected;
-        PIMSIM_ASSERT(terminal == t.submitted,
-                      "serve accounting leak for '", t.name, "': ",
-                      t.completed, " completed + ", t.shed, " shed + ",
-                      t.timedOut, " timed out + ", t.rejected,
-                      " rejected != ", t.submitted, " submitted");
+        assertBalanced({.submitted = t.submitted,
+                        .completed = t.completed,
+                        .shed = t.shed,
+                        .rejected = t.rejected,
+                        .timedOut = t.timedOut},
+                       "serve", t.name);
     };
     for (const TenantReport &t : tenants)
         check(t);
@@ -408,11 +371,14 @@ ServingEngine::expireDue()
             if (!head || !head->hasDeadline() ||
                 head->deadlineNs > nowNs_)
                 break;
-            ServeRequest expired = *head;
+            ledger_.finish({.slot = t,
+                            .kind = Terminal::TimedOut,
+                            .arrivalNs = head->arrivalNs,
+                            .deadlineNs = head->deadlineNs,
+                            .endNs = nowNs_,
+                            .trace = head->trace});
             queue_.popFront(t);
-            ++tenants_[t].timedOut;
             stats.add(tenants_[t].keys.timedOut);
-            finishRequestTrace(expired, nowNs_, "queue-timeout", true);
         }
     }
 }
@@ -655,7 +621,6 @@ ServingEngine::finishBatch(unsigned shard)
                                   r.trace.traceId);
             state.e2eH.sample(toNsSample(r.latencyNs()),
                               r.trace.traceId);
-            ++state.completed;
             if (server.fallback) {
                 ++state.fallbackCompleted;
                 stats.add(state.keys.fallbackCompleted);
@@ -664,13 +629,18 @@ ServingEngine::finishBatch(unsigned shard)
                 ++state.silentlyWrong;
                 stats.add(state.keys.silentlyWrong);
             }
-            if (r.hasDeadline() && r.completeNs > r.deadlineNs) {
-                ++state.sloViolations;
-                stats.add(state.keys.sloViolations);
-            }
             // A silently wrong completion burns SLO error budget like
             // an error: the user saw a bad answer on time.
-            finishRequestTrace(r, r.completeNs, nullptr, sdc_silent);
+            const bool late = ledger_.finish(
+                {.slot = tenant,
+                 .arrivalNs = r.arrivalNs,
+                 .deadlineNs = r.deadlineNs,
+                 .endNs = r.completeNs,
+                 .trace = r.trace,
+                 .erred = sdc_silent,
+                 .failedOver = r.attempts > 1 || r.hostFallback});
+            if (late)
+                stats.add(state.keys.sloViolations);
             completions_.push_back(r);
         }
         ++state.batches;
@@ -844,36 +814,21 @@ ServingEngine::takeCompletions()
     return out;
 }
 
-std::vector<SloObservation>
-ServingEngine::takeSloObservations()
-{
-    std::vector<SloObservation> out;
-    out.swap(sloObs_);
-    return out;
-}
-
 TenantReport
-ServingEngine::summarise(const TenantState &t, double horizon_ns) const
+ServingEngine::summarise(const std::string &name, const LedgerCounts &c) const
 {
     TenantReport r;
-    r.name = t.spec.name;
-    r.submitted = t.submitted;
-    r.completed = t.completed;
-    r.batches = t.batches;
-    r.shed = t.shed;
-    r.timedOut = t.timedOut;
-    r.retries = t.retries;
-    r.fallbackCompleted = t.fallbackCompleted;
-    r.sloViolations = t.sloViolations;
-    r.silentlyWrong = t.silentlyWrong;
-    r.servedNs = t.servedNs;
+    r.name = name;
+    r.submitted = c.submitted;
+    r.rejected = c.rejected;
+    r.completed = c.completed;
+    r.shed = c.shed;
+    r.timedOut = c.timedOut;
+    r.sloViolations = c.sloViolations;
     r.throughputRps =
-        horizon_ns > 0.0
-            ? static_cast<double>(t.completed) / (horizon_ns * 1e-9)
+        nowNs_ > 0.0
+            ? static_cast<double>(c.completed) / (nowNs_ * 1e-9)
             : 0.0;
-    r.queue = summariseHistogram(t.queueH);
-    r.service = summariseHistogram(t.serviceH);
-    r.e2e = summariseHistogram(t.e2eH);
     return r;
 }
 
@@ -882,29 +837,28 @@ ServingEngine::report() const
 {
     ServeReport report;
     report.horizonNs = nowNs_;
-    report.total.name = "total";
+    report.total = summarise("total", ledger_.total());
+    TenantReport &total = report.total;
     for (unsigned t = 0; t < tenants_.size(); ++t) {
-        TenantReport r = summarise(tenants_[t], nowNs_);
+        const TenantState &state = tenants_[t];
+        TenantReport r = summarise(state.spec.name, ledger_.counts(t));
         r.admitted = queue_.admitted(t);
-        r.rejected = queue_.rejected(t);
-        report.total.submitted += r.submitted;
-        report.total.admitted += r.admitted;
-        report.total.rejected += r.rejected;
-        report.total.completed += r.completed;
-        report.total.batches += r.batches;
-        report.total.shed += r.shed;
-        report.total.timedOut += r.timedOut;
-        report.total.retries += r.retries;
-        report.total.fallbackCompleted += r.fallbackCompleted;
-        report.total.sloViolations += r.sloViolations;
-        report.total.silentlyWrong += r.silentlyWrong;
-        report.total.servedNs += r.servedNs;
+        r.batches = state.batches;
+        r.retries = state.retries;
+        r.fallbackCompleted = state.fallbackCompleted;
+        r.silentlyWrong = state.silentlyWrong;
+        r.servedNs = state.servedNs;
+        total.admitted += r.admitted;
+        total.batches += r.batches;
+        total.retries += r.retries;
+        total.fallbackCompleted += r.fallbackCompleted;
+        total.silentlyWrong += r.silentlyWrong;
+        total.servedNs += r.servedNs;
+        r.queue = latencySummary(state.queueH);
+        r.service = latencySummary(state.serviceH);
+        r.e2e = latencySummary(state.e2eH);
         report.tenants.push_back(std::move(r));
     }
-    report.total.throughputRps =
-        nowNs_ > 0.0
-            ? static_cast<double>(report.total.completed) / (nowNs_ * 1e-9)
-            : 0.0;
 
     for (unsigned s = 0; s < shards_.size(); ++s) {
         ShardResilienceReport r;
@@ -929,14 +883,14 @@ ServingEngine::report() const
     // Aggregate latency summaries: weighted mean, worst-tenant tails
     // (per-tenant histograms are not mergeable sample-exactly; the
     // conservative max keeps the headline honest).
-    auto aggregate = [&](auto pick_member) {
-        LatencySummary s;
+    for (LatencySummary TenantReport::*member :
+         {&TenantReport::queue, &TenantReport::service, &TenantReport::e2e}) {
+        LatencySummary &s = report.total.*member;
         std::uint64_t n = 0;
-        for (unsigned t = 0; t < tenants_.size(); ++t) {
-            const LatencySummary &src = pick_member(report.tenants[t]);
-            const std::uint64_t c = report.tenants[t].completed;
-            s.meanNs += src.meanNs * static_cast<double>(c);
-            n += c;
+        for (const TenantReport &r : report.tenants) {
+            const LatencySummary &src = r.*member;
+            s.meanNs += src.meanNs * static_cast<double>(r.completed);
+            n += r.completed;
             s.p50Ns = std::max(s.p50Ns, src.p50Ns);
             s.p95Ns = std::max(s.p95Ns, src.p95Ns);
             s.p99Ns = std::max(s.p99Ns, src.p99Ns);
@@ -944,20 +898,7 @@ ServingEngine::report() const
         }
         if (n)
             s.meanNs /= static_cast<double>(n);
-        return s;
-    };
-    report.total.queue =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.queue;
-        });
-    report.total.service =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.service;
-        });
-    report.total.e2e =
-        aggregate([](const TenantReport &r) -> const LatencySummary & {
-            return r.e2e;
-        });
+    }
     return report;
 }
 

@@ -40,6 +40,7 @@
 #include "common/stats.h"
 #include "reliability/sdc_monitor.h"
 #include "serve/request.h"
+#include "serve/request_ledger.h"
 #include "serve/request_queue.h"
 #include "serve/resilience.h"
 #include "serve/scheduler.h"
@@ -115,16 +116,6 @@ struct ServeConfig
      * it; nothing else may.
      */
     unsigned simThreads = 1;
-};
-
-/** Latency distribution summary extracted from a Histogram. */
-struct LatencySummary
-{
-    double meanNs = 0.0;
-    double p50Ns = 0.0;
-    double p95Ns = 0.0;
-    double p99Ns = 0.0;
-    double maxNs = 0.0;
 };
 
 /** Per-tenant (or aggregate) serving outcome. */
@@ -302,7 +293,11 @@ class ServingEngine
      * a span tree and tail-sampled at the tracer (see
      * common/reqtrace.h). Not owned; must outlive the engine's use.
      */
-    void setRequestTracer(RequestTracer *tracer) { reqTracer_ = tracer; }
+    void setRequestTracer(RequestTracer *tracer)
+    {
+        reqTracer_ = tracer;
+        ledger_.setTracer(tracer);
+    }
 
     /**
      * Per-request terminal observations (timestamp + met-its-SLO)
@@ -310,7 +305,10 @@ class ServingEngine
      * rejections, timeouts and late completions are bad; in-deadline
      * completions are good.
      */
-    std::vector<SloObservation> takeSloObservations();
+    std::vector<SloObservation> takeSloObservations()
+    {
+        return ledger_.takeSloObservations();
+    }
 
   private:
     /** A tenant's "tenant.<name>.<event>" serve-stat keys. */
@@ -330,14 +328,10 @@ class ServingEngine
         Histogram queueH;
         Histogram serviceH;
         Histogram e2eH;
-        std::uint64_t submitted = 0;
-        std::uint64_t completed = 0;
+        // Counters the request ledger does not keep.
         std::uint64_t batches = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t timedOut = 0;
         std::uint64_t retries = 0;
         std::uint64_t fallbackCompleted = 0;
-        std::uint64_t sloViolations = 0;
         std::uint64_t silentlyWrong = 0;
         double servedNs = 0.0;
         /** Memoised batch-1 PIM service time (admission estimate). */
@@ -405,11 +399,9 @@ class ServingEngine
     /** Probation bookkeeping due by the clock: monitor cool-downs and
      *  canary kernels. */
     void runSdcDue();
-    /** Close a request's trace (root span + outcome) and record its
-     *  SLO observation. `terminal` names non-completed ends. */
-    void finishRequestTrace(ServeRequest &request, double end_ns,
-                            const char *terminal, bool erred);
-    TenantReport summarise(const TenantState &t, double horizon_ns) const;
+    /** A report of the ledger's counts (and throughput). */
+    TenantReport summarise(const std::string &name,
+                           const LedgerCounts &c) const;
 
     ServeConfig config_;
     std::unique_ptr<PimSystem> system_;
@@ -432,8 +424,8 @@ class ServingEngine
     std::vector<double> lastCanaryNs_;
     Rng retryRng_;
 
+    RequestLedger ledger_{kTracePidServing};
     std::vector<ServeRequest> completions_;
-    std::vector<SloObservation> sloObs_;
     TraceSession *trace_ = nullptr;
     RequestTracer *reqTracer_ = nullptr;
     double nowNs_ = 0.0;
