@@ -11,10 +11,7 @@
  *    Section III-A).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
-#include "common/rng.h"
 #include "common/rng.h"
 #include "stack/workloads.h"
 
@@ -60,11 +57,13 @@ printAblations()
 
     printHeader("Ablation: GRF depth (AAM window / fence interval)");
     printRow({"grfPerHalf", "GEMV2 time", "ADD1 time"}, 14);
-    for (unsigned depth : {8u, 16u}) {
+    for (unsigned depth : {4u, 8u, 16u}) {
         SystemConfig cfg = SystemConfig::pimHbmSystem();
         cfg.pim.grfPerHalf = depth;
         cfg.pim.crfEntries = 64; // room for the register map either way
-        printRow({std::to_string(depth), fmtNs(gemvNs(cfg)),
+        // The GEMV microkernel needs >= 8 GRF registers per half.
+        printRow({std::to_string(depth),
+                  depth >= 8 ? fmtNs(gemvNs(cfg)) : "-",
                   fmtNs(addNs(cfg))},
                  14);
     }
@@ -119,27 +118,12 @@ printAblations()
     }
 }
 
-void
-BM_AblationGrfDepth(benchmark::State &state)
-{
-    SystemConfig cfg = SystemConfig::pimHbmSystem();
-    cfg.pim.grfPerHalf = static_cast<unsigned>(state.range(0));
-    cfg.pim.crfEntries = 64;
-    double ns = 0;
-    for (auto _ : state)
-        ns = addNs(cfg);
-    state.counters["sim_ns"] = ns;
-}
-BENCHMARK(BM_AblationGrfDepth)->Arg(4)->Arg(8)->Arg(16)->Iterations(1);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    parseBenchFlags(argc, argv, 0);
     printAblations();
     return 0;
 }

@@ -27,7 +27,7 @@
  * table and written as BENCH_chaos.json (validated with validateJson
  * before the file is written; an invalid document is a hard error).
  *
- * Flags (stripped before google/benchmark parsing):
+ * Flags:
  *   --json-out=FILE  result file (default BENCH_chaos.json; "" disables)
  *   --smoke          shrink horizons/rates for CI sanitizer runs
  *   --seed=N         override the arrival/fault/retry seed (recorded in
@@ -36,14 +36,10 @@
  *                    (tail-sampled per-request span trees)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -205,8 +201,6 @@ fillDerived(ChaosCell &cell, double horizon_ns)
 void
 runSweep()
 {
-    if (!g_cells.empty())
-        return;
     setQuiet(true);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -391,12 +385,9 @@ writeTotals(JsonWriter &w, const TenantReport &t)
 }
 
 /** The whole result document as a JSON string. */
-std::string
-jsonReport()
+void
+writeReport(JsonWriter &w)
 {
-    std::ostringstream os;
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "chaos_serving", g_seed, g_smoke,
                        "serving under injected faults on 1 PIM-HBM stack",
                        &g_self);
@@ -427,50 +418,6 @@ jsonReport()
     writeTotals(w, g_burst.report.total);
     w.endObject();
     w.endObject();
-    w.endObject();
-    os << "\n";
-    return os.str();
-}
-
-/** Validate, then write BENCH_chaos.json. Invalid JSON is a hard fail
- *  (the CI smoke job relies on this self-check). */
-bool
-writeJsonReport(const std::string &path)
-{
-    const std::string text = jsonReport();
-    std::string error;
-    if (!validateJson(text, &error)) {
-        std::fprintf(stderr, "BENCH_chaos JSON invalid: %s\n",
-                     error.c_str());
-        return false;
-    }
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return false;
-    }
-    os << text;
-    return true;
-}
-
-void
-BM_Chaos(benchmark::State &state)
-{
-    for (auto _ : state)
-        runSweep();
-    const auto &c = g_cells.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["faults_per_sec"] = c.faultsPerSec;
-    state.counters["goodput_rps"] = c.goodputRps;
-    state.counters["slo_violation_rate"] = c.sloViolationRate;
-    state.counters["shed"] = static_cast<double>(c.report.total.shed);
-    state.counters["timed_out"] =
-        static_cast<double>(c.report.total.timedOut);
-    state.counters["retries"] = static_cast<double>(c.report.total.retries);
-    state.counters["fallback"] =
-        static_cast<double>(c.report.total.fallbackCompleted);
-    state.counters["breaker_opens"] = static_cast<double>(c.breakerOpens);
-    state.SetLabel(std::string(policyName(c.policy)) + "/rate_" +
-                   fmt(c.faultsPerSec, 1));
 }
 
 } // namespace
@@ -478,31 +425,16 @@ BM_Chaos(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_chaos.json", g_traceOut, g_smoke, g_seed};
-    parseBenchFlags(argc, argv,
-                    kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
-                    flags);
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags = parseBenchFlags(
+        argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
+        {"BENCH_chaos.json", "", false, g_seed});
     g_traceOut = flags.traceOut;
     g_smoke = flags.smoke;
     g_seed = flags.seed;
 
     runSweep();
-    for (std::size_t i = 0; i < g_cells.size(); ++i) {
-        const auto &c = g_cells[i];
-        benchmark::RegisterBenchmark(
-            ("Chaos/" + std::string(policyName(c.policy)) + "/rate_" +
-             fmt(c.faultsPerSec, 1))
-                .c_str(),
-            BM_Chaos)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
-    if (!json_out.empty() && !writeJsonReport(json_out))
+    if (!writeJsonReport(flags.jsonOut, writeReport))
         return 1;
     if (!g_traceOut.empty() && !g_trace.writeFile(g_traceOut))
         return 1;

@@ -31,7 +31,7 @@
  * counts. Results go to BENCH_cluster.json (validated with validateJson
  * before writing; an invalid document is a hard error).
  *
- * Flags (stripped before google/benchmark parsing):
+ * Flags:
  *   --json-out=FILE  result file (default BENCH_cluster.json; "" disables)
  *   --smoke          shrink request counts for CI sanitizer runs
  *   --seed=N         override the campaign seed (recorded in the JSON)
@@ -39,12 +39,9 @@
  *                    (tail-sampled per-request span trees, SLO alerts)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -298,10 +295,6 @@ analyzeKill(KillResult &r)
 void
 runExperiments()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
     setQuiet(true);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -558,12 +551,9 @@ writeKill(JsonWriter &w, KillResult &r)
     writeWindows(w, r.windows);
 }
 
-std::string
-jsonReport()
+void
+writeReport(JsonWriter &w)
 {
-    std::ostringstream os;
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "cluster", g_seed, g_smoke,
                        "fault-tolerant cluster: replicated hosts, "
                        "failover, hedged requests",
@@ -600,64 +590,6 @@ jsonReport()
     w.field("replay_identical", g_replayIdentical);
     w.field("acceptance_failures",
             static_cast<std::uint64_t>(g_failures.size()));
-    w.endObject();
-    os << "\n";
-    return os.str();
-}
-
-/** Validate, then write BENCH_cluster.json. Invalid JSON is a hard
- *  fail (the CI smoke job relies on this self-check). */
-bool
-writeJsonReport(const std::string &path)
-{
-    const std::string text = jsonReport();
-    std::string error;
-    if (!validateJson(text, &error)) {
-        std::fprintf(stderr, "BENCH_cluster JSON invalid: %s\n",
-                     error.c_str());
-        return false;
-    }
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return false;
-    }
-    os << text;
-    return true;
-}
-
-void
-BM_Cluster(benchmark::State &state)
-{
-    for (auto _ : state)
-        runExperiments();
-    switch (state.range(0)) {
-      case 0:
-        state.counters["goodput_ratio"] = g_kill.goodputRatio;
-        state.counters["failed"] =
-            static_cast<double>(g_kill.report.failed);
-        state.counters["retries"] =
-            static_cast<double>(g_kill.report.retries);
-        state.counters["recovery_ns"] = g_kill.recoveryNs;
-        state.SetLabel("kill/failover");
-        break;
-      case 1:
-        state.counters["goodput_ratio"] = g_noFailover.goodputRatio;
-        state.counters["failed"] =
-            static_cast<double>(g_noFailover.report.failed);
-        state.SetLabel("kill/no-failover");
-        break;
-      case 2:
-        state.counters["episode_p99_ns"] = g_hedged.episodeP99Ns;
-        state.counters["hedges_fired"] =
-            static_cast<double>(g_hedged.report.hedgesFired);
-        state.SetLabel("straggler/hedged");
-        break;
-      default:
-        state.counters["episode_p99_ns"] = g_unhedged.episodeP99Ns;
-        state.SetLabel("straggler/unhedged");
-        break;
-    }
 }
 
 } // namespace
@@ -665,29 +597,16 @@ BM_Cluster(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_cluster.json", g_traceOut, g_smoke, g_seed};
-    parseBenchFlags(argc, argv,
-                    kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
-                    flags);
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags = parseBenchFlags(
+        argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
+        {"BENCH_cluster.json", "", false, g_seed});
     g_traceOut = flags.traceOut;
     g_smoke = flags.smoke;
     g_seed = flags.seed;
 
     runExperiments();
-    const char *names[] = {"Cluster/kill/failover",
-                           "Cluster/kill/no_failover",
-                           "Cluster/straggler/hedged",
-                           "Cluster/straggler/unhedged"};
-    for (int i = 0; i < 4; ++i)
-        benchmark::RegisterBenchmark(names[i], BM_Cluster)
-            ->Arg(i)
-            ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
-    if (!json_out.empty() && !writeJsonReport(json_out))
+    if (!writeJsonReport(flags.jsonOut, writeReport))
         return 1;
     if (!g_traceOut.empty() && !g_trace.writeFile(g_traceOut))
         return 1;

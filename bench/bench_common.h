@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses: system construction,
- * paper-style table printing, the shared command-line flags and the
- * in-binary acceptance checks.
+ * paper-style table printing, the shared command-line flags, the
+ * validated JSON result writer and the in-binary acceptance checks.
  */
 
 #ifndef PIMSIM_BENCH_BENCH_COMMON_H
@@ -12,11 +12,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "host/host_model.h"
 #include "sim/system.h"
@@ -102,19 +106,23 @@ enum : unsigned
 };
 
 /**
- * Move the flags named in `accepted` from argv into `flags`, keeping
- * every other argument in order for google/benchmark (argc shrinks to
- * match). A --seed= that is not a plain decimal integer prints a
- * message and exits with status 2.
+ * Parse the flags named in `accepted` over `defaults`. Any other
+ * argument, and a --seed= that is not a plain decimal integer, prints
+ * a message and exits with status 2. The default result file
+ * (`defaults.jsonOut`) holds the full-size run at the default seed, so
+ * a --smoke or other-seed run without --json-out= writes no JSON.
  */
-inline void
-parseBenchFlags(int &argc, char **argv, unsigned accepted, BenchFlags &flags)
+inline BenchFlags
+parseBenchFlags(int argc, char **argv, unsigned accepted,
+                const BenchFlags &defaults = {})
 {
-    int kept = 1;
+    BenchFlags flags = defaults;
+    bool json_given = false;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if ((accepted & kFlagJsonOut) && arg.starts_with("--json-out=")) {
             flags.jsonOut = arg.substr(11);
+            json_given = true;
         } else if ((accepted & kFlagTraceOut) &&
                    arg.starts_with("--trace-out=")) {
             flags.traceOut = arg.substr(12);
@@ -133,10 +141,54 @@ parseBenchFlags(int &argc, char **argv, unsigned accepted, BenchFlags &flags)
                 std::exit(2);
             }
         } else {
-            argv[kept++] = argv[i];
+            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
+                         argv[i]);
+            std::exit(2);
         }
     }
-    argc = kept;
+    if (!json_given && !flags.jsonOut.empty() &&
+        (flags.smoke || flags.seed != defaults.seed)) {
+        std::fprintf(stderr,
+                     "%s: a --smoke or non-default --seed run does not "
+                     "write %s; pass --json-out=PATH\n",
+                     argv[0], flags.jsonOut.c_str());
+        flags.jsonOut.clear();
+    }
+    return flags;
+}
+
+/**
+ * Write one bench result document to `path` ("" writes nothing):
+ * `fields` fills the top-level object, the text must pass
+ * validateJson, and only then is the file written. Returns false, with
+ * a message on stderr, when the document is invalid or the file cannot
+ * be written; the bench then exits 1.
+ */
+inline bool
+writeJsonReport(const std::string &path,
+                const std::function<void(JsonWriter &)> &fields)
+{
+    if (path.empty())
+        return true;
+    std::ostringstream text;
+    JsonWriter w(text, /*pretty=*/true);
+    w.beginObject();
+    fields(w);
+    w.endObject();
+    text << "\n";
+    std::string error;
+    if (!validateJson(text.str(), &error)) {
+        std::fprintf(stderr, "%s: invalid JSON: %s\n", path.c_str(),
+                     error.c_str());
+        return false;
+    }
+    std::ofstream os(path);
+    if (!(os << text.str()) || !os.flush()) {
+        std::fprintf(stderr, "cannot write bench output '%s'\n",
+                     path.c_str());
+        return false;
+    }
+    return true;
 }
 
 /** Descriptions of the in-binary acceptance checks that failed. */

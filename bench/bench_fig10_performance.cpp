@@ -11,10 +11,7 @@
  *   removing fences buys ~2x on the microbenchmarks.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -117,15 +114,8 @@ printFig10()
 
 /** Machine-readable Fig. 10 results (BENCH_fig10.json at the repo root). */
 void
-writeJsonReport(const std::string &path)
+writeReport(JsonWriter &w)
 {
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return;
-    }
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     // Seed 0: the fig10 workloads are fixed shapes, nothing is drawn.
     writeBenchPreamble(w, "fig10", 0, false,
                        "paper fig. 10: PIM speedup per workload x batch");
@@ -155,23 +145,6 @@ writeJsonReport(const std::string &path)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-    os << "\n";
-}
-
-void
-BM_Fig10(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (g_rows.empty())
-            runFig10();
-    }
-    const auto &row = g_rows.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["speedup_b1"] = row.speedup.at(1);
-    state.counters["speedup_b2"] = row.speedup.at(2);
-    state.counters["speedup_b4"] = row.speedup.at(4);
-    state.counters["hbm_llc_miss_b1"] = row.missRate.at(1);
-    state.SetLabel(row.name);
 }
 
 } // namespace
@@ -179,22 +152,9 @@ BM_Fig10(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_fig10.json"};
-    parseBenchFlags(argc, argv, kFlagJsonOut, flags);
-    const std::string &json_out = flags.jsonOut;
-
+    const BenchFlags flags =
+        parseBenchFlags(argc, argv, kFlagJsonOut, {"BENCH_fig10.json"});
     runFig10();
-    for (std::size_t i = 0; i < g_rows.size(); ++i) {
-        benchmark::RegisterBenchmark(("Fig10/" + g_rows[i].name).c_str(),
-                                     BM_Fig10)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFig10();
-    if (!json_out.empty())
-        writeJsonReport(json_out);
-    return 0;
+    return writeJsonReport(flags.jsonOut, writeReport) ? 0 : 1;
 }

@@ -11,8 +11,6 @@
  *    *below* HBM (Section VII-C).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "common/rng.h"
 #include "energy/probe.h"
@@ -137,8 +135,6 @@ BreakdownResult g_hbm, g_pim, g_pim_gated;
 void
 runFig11()
 {
-    if (g_hbm.ns != 0.0)
-        return;
     g_hbm = hbmReadStream(260000);
     g_pim = pimMacStream(60000, false);
     g_pim_gated = pimMacStream(60000, true);
@@ -177,29 +173,14 @@ printFig11()
                 g_pim.bandwidthGBs / g_hbm.bandwidthGBs);
 }
 
-void
-BM_Fig11(benchmark::State &state)
-{
-    for (auto _ : state)
-        runFig11();
-    state.counters["hbm_mw"] = g_hbm.powerMw();
-    state.counters["pim_mw"] = g_pim.powerMw();
-    state.counters["pim_over_hbm"] = g_pim.powerMw() / g_hbm.powerMw();
-    state.counters["gated_over_hbm"] =
-        g_pim_gated.powerMw() / g_hbm.powerMw();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    parseBenchFlags(argc, argv, 0);
     setQuiet(true);
     runFig11();
-    benchmark::RegisterBenchmark("Fig11/power_breakdown", BM_Fig11)
-        ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFig11();
     return 0;
 }

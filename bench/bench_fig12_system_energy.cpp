@@ -11,8 +11,6 @@
  * its efficiency stays near PROC-HBM.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench_common.h"
@@ -104,35 +102,13 @@ printFig12()
                 "1.5x; PROC-HBMx4 stays near PROC-HBM.\n");
 }
 
-void
-BM_Fig12(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (g_entries.empty())
-            runFig12();
-    }
-    const auto &e = g_entries.at(static_cast<std::size_t>(state.range(0)));
-    const auto &base = e.bySystem.at("PROC-HBM");
-    const auto &pim = e.bySystem.at("PIM-HBM");
-    state.counters["energy_eff_gain"] = base.totalJ() / pim.totalJ();
-    state.counters["speedup"] = base.ns / pim.ns;
-    state.SetLabel(e.name);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    parseBenchFlags(argc, argv, 0);
     runFig12();
-    for (std::size_t i = 0; i < g_entries.size(); ++i) {
-        benchmark::RegisterBenchmark(
-            ("Fig12/" + g_entries[i].name).c_str(), BM_Fig12)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFig12();
     return 0;
 }

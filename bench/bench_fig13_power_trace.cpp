@@ -8,8 +8,6 @@
  * spinning on memory stalls.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "energy/system_power.h"
 #include "stack/workloads.h"
@@ -88,29 +86,13 @@ printFig13()
                 "(Section VII-C).\n");
 }
 
-void
-BM_Fig13(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (g_hbm_trace.watts.empty())
-            runFig13();
-    }
-    state.counters["hbm_avg_w"] = g_hbm_j / g_hbm_ns * 1e9;
-    state.counters["pim_avg_w"] = g_pim_j / g_pim_ns * 1e9;
-    state.counters["speedup"] = g_hbm_ns / g_pim_ns;
-    state.counters["energy_gain"] = g_hbm_j / g_pim_j;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    parseBenchFlags(argc, argv, 0);
     runFig13();
-    benchmark::RegisterBenchmark("Fig13/ds2_power_trace", BM_Fig13)
-        ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFig13();
     return 0;
 }

@@ -13,8 +13,6 @@
  * 2BA helps ADD most, SRW helps GEMV (~25%).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <map>
 
@@ -110,19 +108,14 @@ runFig14()
         DseRow row;
         row.workload = micro.name;
         const auto h = hbm.runner->runMicro(micro, 1);
-        double base_ns = 0.0;
-        for (const auto &[name, cfg] : variants) {
-            const double ns = pimUpperBoundNs(setups.at(name), micro);
-            row.speedup[name] = h.ns / ns;
-            if (name == "PIM-HBM")
-                base_ns = ns;
-        }
+        for (const auto &[name, cfg] : variants)
+            row.speedup[name] =
+                h.ns / pimUpperBoundNs(setups.at(name), micro);
         for (const auto &[name, cfg] : variants) {
             if (name != "PIM-HBM")
                 gains[name].push_back(row.speedup[name] /
                                       row.speedup["PIM-HBM"]);
         }
-        (void)base_ns;
         g_rows.push_back(row);
     }
     for (const auto &[name, gs] : gains) {
@@ -155,35 +148,13 @@ printFig14()
                 "power, biggest on ADD),\nSRW ~1.1x (~1.25x on GEMV).\n");
 }
 
-void
-BM_Fig14(benchmark::State &state)
-{
-    for (auto _ : state) {
-        if (g_rows.empty())
-            runFig14();
-    }
-    const auto &row = g_rows.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["pim"] = row.speedup.at("PIM-HBM");
-    state.counters["pim_2x"] = row.speedup.at("PIM-HBM-2x");
-    state.counters["pim_2ba"] = row.speedup.at("PIM-HBM-2BA");
-    state.counters["pim_srw"] = row.speedup.at("PIM-HBM-SRW");
-    state.SetLabel(row.workload);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    parseBenchFlags(argc, argv, 0);
     runFig14();
-    for (std::size_t i = 0; i < g_rows.size(); ++i) {
-        benchmark::RegisterBenchmark(
-            ("Fig14/" + g_rows[i].workload).c_str(), BM_Fig14)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFig14();
     return 0;
 }

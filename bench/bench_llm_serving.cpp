@@ -20,7 +20,7 @@
  * and a same-seed replay to be bit-identical. Results go to
  * BENCH_llm.json (validated with validateJson before writing).
  *
- * Flags (stripped before google/benchmark parsing):
+ * Flags:
  *   --json-out=FILE   result file (default BENCH_llm.json; "" disables)
  *   --trace-out=FILE  write a Chrome trace of one continuous-batching
  *                     run (pid-6 "llm" track; default off)
@@ -28,12 +28,9 @@
  *   --seed=N          override the campaign seed (recorded in the JSON)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -408,10 +405,6 @@ cellJson(const Cell &cell)
 void
 runExperiments()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
     setQuiet(true);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -570,12 +563,9 @@ printResults()
     }
 }
 
-std::string
-jsonReport()
+void
+writeReport(JsonWriter &w)
 {
-    std::ostringstream os;
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "llm_serving", g_seed, g_smoke,
                        "tiny decoder, 1 PIM-HBM stack, maxBatch " +
                            std::to_string(kMaxBatch),
@@ -640,46 +630,6 @@ jsonReport()
     g_tailSlo->writeJson(w);
     w.field("acceptance_failures",
             static_cast<std::uint64_t>(g_failures.size()));
-    w.endObject();
-    os << "\n";
-    return os.str();
-}
-
-/** Validate, then write BENCH_llm.json. Invalid JSON is a hard fail
- *  (the CI smoke job relies on this self-check). */
-bool
-writeJsonReport(const std::string &path)
-{
-    const std::string text = jsonReport();
-    std::string error;
-    if (!validateJson(text, &error)) {
-        std::fprintf(stderr, "BENCH_llm JSON invalid: %s\n", error.c_str());
-        return false;
-    }
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return false;
-    }
-    os << text;
-    return true;
-}
-
-void
-BM_LlmServing(benchmark::State &state)
-{
-    for (auto _ : state)
-        runExperiments();
-    const std::size_t i = static_cast<std::size_t>(state.range(0));
-    if (i < g_cells.size()) {
-        const Cell &cell = g_cells[i];
-        const LlmTenantReport &t = cell.report.total;
-        state.counters["goodput_tps"] = t.goodputTokensPerSec;
-        state.counters["p99_token_ns"] = t.perToken.p99Ns;
-        state.counters["mean_batch"] = cell.report.meanBatch;
-        state.SetLabel(std::string(batchPolicyName(cell.policy)) + "/" +
-                       fmt(cell.load, 1) + "/" + cell.profile);
-    }
 }
 
 } // namespace
@@ -687,30 +637,16 @@ BM_LlmServing(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_llm.json", g_traceOut, g_smoke, g_seed};
-    parseBenchFlags(argc, argv,
-                    kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
-                    flags);
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags = parseBenchFlags(
+        argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
+        {"BENCH_llm.json", "", false, g_seed});
     g_traceOut = flags.traceOut;
     g_smoke = flags.smoke;
     g_seed = flags.seed;
 
     runExperiments();
-    for (std::size_t i = 0; i < g_cells.size(); ++i) {
-        const Cell &cell = g_cells[i];
-        const std::string name =
-            "LlmServing/" + std::string(batchPolicyName(cell.policy)) +
-            "/" + fmt(cell.load, 1) + "/" + cell.profile;
-        benchmark::RegisterBenchmark(name.c_str(), BM_LlmServing)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
-    if (!json_out.empty() && !writeJsonReport(json_out))
+    if (!writeJsonReport(flags.jsonOut, writeReport))
         return 1;
     return g_failures.empty() ? 0 : 1;
 }

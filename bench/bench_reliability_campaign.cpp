@@ -21,12 +21,13 @@
  * Identical seeds produce identical fault sequences and counts, so a
  * sweep is exactly reproducible. Results are printed as a table, as
  * CSV, and as a JSON array.
+ *
+ * Flags:
+ *   --json-out=FILE  result file (default BENCH_reliability.json; ""
+ *                    disables)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -146,8 +147,6 @@ void
 runSweep()
 {
     setQuiet(true);
-    if (!g_cells.empty())
-        return;
     for (const bool ecc : {true, false})
         for (const double rate : kRates)
             g_cells.push_back(runCell(rate, ecc));
@@ -219,17 +218,10 @@ printResults()
 }
 
 /** Machine-readable sweep results (BENCH_reliability.json at the repo
- *  root), written through JsonWriter so they are valid by construction. */
+ *  root). */
 void
-writeJsonReport(const std::string &path)
+writeReport(JsonWriter &w)
 {
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return;
-    }
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "reliability", kSeed, false,
                        "fault-injection campaign: error rate x ECC");
     w.field("kernels_per_cell", kKernels);
@@ -253,25 +245,6 @@ writeJsonReport(const std::string &path)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-    os << "\n";
-}
-
-void
-BM_Campaign(benchmark::State &state)
-{
-    for (auto _ : state)
-        runSweep();
-    const auto &c = g_cells.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["injected"] = static_cast<double>(c.injected);
-    state.counters["corrected"] = static_cast<double>(c.corrected);
-    state.counters["uncorrectable"] = static_cast<double>(c.uncorrectable);
-    state.counters["retries"] = static_cast<double>(c.retries);
-    state.counters["fallbacks"] = static_cast<double>(c.fallbacks);
-    state.counters["sdc"] = static_cast<double>(c.sdc);
-    state.counters["success_rate"] = c.successRate();
-    state.SetLabel((c.ecc ? "ecc_on/rate_" : "ecc_off/rate_") +
-                   fmt(c.rate, 1));
 }
 
 } // namespace
@@ -279,26 +252,9 @@ BM_Campaign(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_reliability.json"};
-    parseBenchFlags(argc, argv, kFlagJsonOut, flags);
-    const std::string &json_out = flags.jsonOut;
-
+    const BenchFlags flags = parseBenchFlags(argc, argv, kFlagJsonOut,
+                                             {"BENCH_reliability.json"});
     runSweep();
-    for (std::size_t i = 0; i < g_cells.size(); ++i) {
-        const auto &c = g_cells[i];
-        benchmark::RegisterBenchmark(
-            ("Reliability/" + std::string(c.ecc ? "ecc_on" : "ecc_off") +
-             "/rate_" + fmt(c.rate, 1))
-                .c_str(),
-            BM_Campaign)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
-    if (!json_out.empty())
-        writeJsonReport(json_out);
-    return 0;
+    return writeJsonReport(flags.jsonOut, writeReport) ? 0 : 1;
 }

@@ -26,7 +26,7 @@
  * acceptance gate is graceful degradation -- goodput loses at most the
  * withdrawn capacity fraction plus 10 percentage points.
  *
- * Flags (stripped before google/benchmark parsing):
+ * Flags:
  *   --json-out=FILE  result file (default BENCH_sdc.json; "" disables)
  *   --smoke          shrink trial counts/horizons for CI sanitizer runs
  *   --seed=N         override the fault/arrival seed (recorded in JSON)
@@ -34,16 +34,12 @@
  *                    (the pid-8 `sdc` track shows quarantine spans)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -540,12 +536,9 @@ writeServingJson(JsonWriter &w, const ServingResult &r)
     w.field("readmits", r.report.sdc.readmits);
 }
 
-std::string
-jsonReport()
+void
+writeReport(JsonWriter &w)
 {
-    std::ostringstream os;
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "sdc", g_seed, g_smoke,
                        "ABFT coverage sweep + quarantine serving on 1 "
                        "PIM-HBM stack",
@@ -586,37 +579,11 @@ jsonReport()
     writeServingJson(w, g_degraded);
     w.endObject();
     w.endObject();
-    w.endObject();
-    os << "\n";
-    return os.str();
-}
-
-/** Validate, then write BENCH_sdc.json. Invalid JSON is a hard fail
- *  (the CI smoke job relies on this self-check). */
-bool
-writeJsonReport(const std::string &path)
-{
-    const std::string text = jsonReport();
-    std::string error;
-    if (!validateJson(text, &error)) {
-        std::fprintf(stderr, "BENCH_sdc JSON invalid: %s\n",
-                     error.c_str());
-        return false;
-    }
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return false;
-    }
-    os << text;
-    return true;
 }
 
 void
 runAll()
 {
-    if (!g_kernelCells.empty())
-        return;
     setQuiet(true);
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -648,78 +615,22 @@ runAll()
     g_self.traceEventsDropped = g_trace.droppedEvents();
 }
 
-void
-BM_SdcCoverage(benchmark::State &state)
-{
-    for (auto _ : state)
-        runAll();
-    const auto &c =
-        g_kernelCells.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["rate_per_op"] = c.ratePerOp;
-    state.counters["exposed"] = static_cast<double>(c.exposed);
-    state.counters["truth_trials"] = static_cast<double>(c.truthTrials);
-    state.counters["coverage"] = c.coverage();
-    state.counters["silent_above_band"] =
-        static_cast<double>(c.silentAboveBand);
-    state.counters["abft_overhead"] = c.abftOverhead();
-    state.SetLabel(std::string(c.abft ? "abft_on" : "abft_off") +
-                   "/rate_" + fmt(c.ratePerOp * 1e6, 1) + "e-6");
-}
-
-void
-BM_SdcServing(benchmark::State &state)
-{
-    for (auto _ : state)
-        runAll();
-    const ServingResult &r = state.range(0) ? g_degraded : g_baseline;
-    state.counters["goodput_rps"] = r.goodputRps;
-    state.counters["capacity_fraction"] = r.capacityFraction;
-    state.counters["quarantines"] =
-        static_cast<double>(r.report.sdc.quarantines);
-    state.counters["silently_wrong"] =
-        static_cast<double>(r.report.total.silentlyWrong);
-    state.SetLabel(state.range(0) ? "degraded" : "baseline");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_sdc.json", g_traceOut, g_smoke, g_seed};
-    parseBenchFlags(argc, argv,
-                    kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
-                    flags);
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags = parseBenchFlags(
+        argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSmoke | kFlagSeed,
+        {"BENCH_sdc.json", "", false, g_seed});
     g_traceOut = flags.traceOut;
     g_smoke = flags.smoke;
     g_seed = flags.seed;
 
     runAll();
-    for (std::size_t i = 0; i < g_kernelCells.size(); ++i) {
-        const auto &c = g_kernelCells[i];
-        benchmark::RegisterBenchmark(
-            ("SdcCoverage/" + std::string(c.abft ? "abft_on" : "abft_off") +
-             "/rate_" + fmt(c.ratePerOp * 1e6, 1) + "e-6")
-                .c_str(),
-            BM_SdcCoverage)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    for (int arm = 0; arm < 2; ++arm) {
-        benchmark::RegisterBenchmark(
-            (std::string("SdcServing/") + (arm ? "degraded" : "baseline"))
-                .c_str(),
-            BM_SdcServing)
-            ->Arg(arm)
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
     checkAcceptance();
-    if (!json_out.empty() && !writeJsonReport(json_out))
+    if (!writeJsonReport(flags.jsonOut, writeReport))
         return 1;
     if (!g_traceOut.empty() && !g_trace.writeFile(g_traceOut))
         return 1;

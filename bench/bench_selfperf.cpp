@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,13 +247,8 @@ perSec(std::uint64_t count, double wall_ms)
 int
 main(int argc, char **argv)
 {
-    BenchFlags flags{"BENCH_selfperf.json"};
-    parseBenchFlags(argc, argv, kFlagJsonOut | kFlagSmoke, flags);
-    if (argc > 1) {
-        std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[1]);
-        return 2;
-    }
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags = parseBenchFlags(
+        argc, argv, kFlagJsonOut | kFlagSmoke, {"BENCH_selfperf.json"});
     g_smoke = flags.smoke;
     setQuiet(true);
 
@@ -292,18 +286,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(lanes.lanes),
                 lane_micro_speedup);
 
-    if (!json_out.empty()) {
-        std::ofstream os(json_out);
-        if (!os) {
-            PIMSIM_WARN("cannot open bench output '", json_out, "'");
-            return 1;
-        }
+    const bool written = writeJsonReport(flags.jsonOut, [&](JsonWriter &w) {
         RunSelfMetrics self;
         self.wallMs = nowMs() - wall0;
         self.simulatedNs =
             static_cast<double>(smoke_sim.simCycles + full_sim.simCycles);
-        JsonWriter w(os, /*pretty=*/true);
-        w.beginObject();
         writeBenchPreamble(w, "selfperf", 0, g_smoke,
                            "simulator self-performance: serial simulator, "
                            "cluster event loop and FP16 lane conversion "
@@ -343,9 +330,6 @@ main(int argc, char **argv)
                                                 lanes.batchMs));
         w.field("speedup", lane_micro_speedup);
         w.endObject();
-
-        w.endObject();
-        os << "\n";
-    }
-    return 0;
+    });
+    return written ? 0 : 1;
 }

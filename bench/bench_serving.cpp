@@ -16,19 +16,16 @@
  * simulated exactly once across the whole sweep. Everything is seeded;
  * reruns are bit-identical.
  *
- * Flags (stripped before google/benchmark parsing):
- *   --json-out=FILE  result file (default BENCH_serving.json)
+ * Flags:
+ *   --json-out=FILE  result file (default BENCH_serving.json; "" disables)
  *   --seed=N         override the arrival seed (recorded in the JSON
  *                    output)
  *   --trace-out=FILE Chrome-trace timeline of the overload batching
  *                    cell (tail-sampled per-request span trees)
  */
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,8 +106,6 @@ void
 runSweep()
 {
     setQuiet(true);
-    if (!g_cells.empty())
-        return;
     const auto wall_start = std::chrono::steady_clock::now();
 
     auto cache = std::make_shared<ServiceTimeCache>();
@@ -312,15 +307,8 @@ writeTenant(JsonWriter &w, const TenantReport &t)
 
 /** Machine-readable sweep results (BENCH_serving.json at the repo root). */
 void
-writeJsonReport(const std::string &path)
+writeReport(JsonWriter &w)
 {
-    std::ofstream os(path);
-    if (!os) {
-        PIMSIM_WARN("cannot open bench output '", path, "'");
-        return;
-    }
-    JsonWriter w(os, /*pretty=*/true);
-    w.beginObject();
     writeBenchPreamble(w, "serving", g_seed, false,
                        "multi-tenant serving: policy x load sweep on 1 "
                        "PIM-HBM stack",
@@ -350,25 +338,6 @@ writeJsonReport(const std::string &path)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
-    os << "\n";
-}
-
-void
-BM_Serving(benchmark::State &state)
-{
-    for (auto _ : state)
-        runSweep();
-    const auto &c = g_cells.at(static_cast<std::size_t>(state.range(0)));
-    state.counters["offered_rps"] = c.offeredRps;
-    state.counters["rps"] = c.report.total.throughputRps;
-    state.counters["rejected"] =
-        static_cast<double>(c.report.total.rejected);
-    state.counters["p50_ns"] = c.report.total.e2e.p50Ns;
-    state.counters["p95_ns"] = c.report.total.e2e.p95Ns;
-    state.counters["p99_ns"] = c.report.total.e2e.p99Ns;
-    state.SetLabel(std::string(schedPolicyName(c.policy)) + "/load_" +
-                   fmt(c.loadFactor, 1));
 }
 
 } // namespace
@@ -376,30 +345,16 @@ BM_Serving(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    // Take our flags before google/benchmark sees (and rejects) them.
-    BenchFlags flags{"BENCH_serving.json", g_traceOut, false, g_seed};
-    parseBenchFlags(argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSeed,
-                    flags);
-    const std::string &json_out = flags.jsonOut;
+    const BenchFlags flags =
+        parseBenchFlags(argc, argv, kFlagJsonOut | kFlagTraceOut | kFlagSeed,
+                        {"BENCH_serving.json", "", false, g_seed});
     g_traceOut = flags.traceOut;
     g_seed = flags.seed;
 
     runSweep();
-    for (std::size_t i = 0; i < g_cells.size(); ++i) {
-        const auto &c = g_cells[i];
-        benchmark::RegisterBenchmark(
-            ("Serving/" + std::string(schedPolicyName(c.policy)) +
-             "/load_" + fmt(c.loadFactor, 1))
-                .c_str(),
-            BM_Serving)
-            ->Arg(static_cast<int>(i))
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printResults();
-    if (!json_out.empty())
-        writeJsonReport(json_out);
+    if (!writeJsonReport(flags.jsonOut, writeReport))
+        return 1;
     if (!g_traceOut.empty() && !g_trace.writeFile(g_traceOut))
         return 1;
     return 0;

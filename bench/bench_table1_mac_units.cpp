@@ -5,12 +5,7 @@
  * estimate behind the trade-off discussion of Section III-C.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
-#include "common/bf16.h"
-#include "common/fp16.h"
-#include "common/rng.h"
 #include "energy/energy_model.h"
 
 using namespace pimsim;
@@ -45,53 +40,12 @@ printTable1()
                 "stacks, so the product ships FP16.\n");
 }
 
-/** Throughput microbenchmarks of the software datapaths the simulator
- *  executes per lane (FP16 vs BF16 MAC). */
-void
-BM_Fp16Mac(benchmark::State &state)
-{
-    Rng rng(1);
-    Fp16 a = rng.nextFp16(), b = rng.nextFp16(), acc;
-    for (auto _ : state) {
-        acc = fp16Mac(a, b, acc);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Fp16Mac);
-
-void
-BM_Bf16Mac(benchmark::State &state)
-{
-    Rng rng(2);
-    Bf16 a(rng.nextFloat(-2, 2)), b(rng.nextFloat(-2, 2)), acc;
-    for (auto _ : state) {
-        acc = bf16Mac(a, b, acc);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_Bf16Mac);
-
-void
-BM_MacAreaModel(benchmark::State &state)
-{
-    const MacFormat f = kFormats[state.range(0)];
-    for (auto _ : state) {
-        auto est = macModelEstimate(f);
-        benchmark::DoNotOptimize(est);
-    }
-    state.counters["rel_area"] = macRelativeArea(f);
-    state.counters["rel_energy"] = macRelativeEnergy(f);
-    state.SetLabel(macFormatName(f));
-}
-BENCHMARK(BM_MacAreaModel)->DenseRange(0, 5)->Iterations(1);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    parseBenchFlags(argc, argv, 0);
     printTable1();
     return 0;
 }

@@ -6,8 +6,6 @@
  * instruction formats by example.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "pim/isa.h"
 
@@ -70,42 +68,12 @@ printTable2()
     }
 }
 
-void
-BM_CountCombinations(benchmark::State &state)
-{
-    const PimOpcode ops[] = {PimOpcode::Mul, PimOpcode::Add, PimOpcode::Mac,
-                             PimOpcode::Mad, PimOpcode::Mov};
-    const PimOpcode op = ops[state.range(0)];
-    unsigned count = 0;
-    for (auto _ : state) {
-        count = countCombinations(op);
-        benchmark::DoNotOptimize(count);
-    }
-    state.counters["combinations"] = count;
-    state.SetLabel(pimOpcodeName(op));
-}
-BENCHMARK(BM_CountCombinations)->DenseRange(0, 4);
-
-void
-BM_EncodeDecodeRoundTrip(benchmark::State &state)
-{
-    const PimInst inst = PimInst::mac(OperandSpace::GrfB, 0,
-                                      OperandSpace::EvenBank, 0,
-                                      OperandSpace::GrfA, 5);
-    for (auto _ : state) {
-        auto decoded = PimInst::decode(inst.encode());
-        benchmark::DoNotOptimize(decoded);
-    }
-}
-BENCHMARK(BM_EncodeDecodeRoundTrip);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    parseBenchFlags(argc, argv, 0);
     printTable2();
     return 0;
 }

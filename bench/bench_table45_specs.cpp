@@ -6,8 +6,6 @@
  * published numbers.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 #include "pim/pim_config.h"
 
@@ -87,29 +85,12 @@ printTables()
              34);
 }
 
-void
-BM_BandwidthDerivation(benchmark::State &state)
-{
-    const SystemConfig sys = SystemConfig::pimHbmSystem();
-    double v = 0;
-    for (auto _ : state) {
-        v = sys.onChipBandwidthGBs();
-        benchmark::DoNotOptimize(v);
-    }
-    state.counters["on_chip_GBs"] = sys.onChipBandwidthGBs();
-    state.counters["off_chip_GBs"] = sys.offChipBandwidthGBs();
-    state.counters["ratio"] =
-        sys.onChipBandwidthGBs() / sys.offChipBandwidthGBs();
-}
-BENCHMARK(BM_BandwidthDerivation);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    parseBenchFlags(argc, argv, 0);
     printTables();
     return 0;
 }
